@@ -23,15 +23,7 @@ import numpy as np
 from .diagnostics import TruthSummary, bvm_convergence_check, mse_oracle, sandwich_variance
 from .errors import ConfigurationError, DegenerateInferenceError
 from .harness import CoverageConfig, run_coverage, write_coverage_csv
-from .posterior import (
-    InverseGammaParams,
-    bvm_normal,
-    compute_kappa,
-    credible_interval,
-    mle_from_increments,
-    modify_posterior,
-    tempered_update,
-)
+from .posterior import InverseGammaParams, bvm_normal, credible_interval, infer_increments
 from .simulate import (
     DiffusionSpec,
     FixedSize,
@@ -43,7 +35,7 @@ from .simulate import (
     simulate_path,
     write_increments_csv,
 )
-from .threshold import ThresholdRule, estimate_jump_qv, qv_error_rate
+from .threshold import ThresholdRule, qv_error_rate
 
 DEFAULT_SEED = 0
 DEFAULT_MODEL = {
@@ -136,18 +128,33 @@ def _threshold_from(args, config: dict) -> ThresholdRule:
     raise ConfigurationError(f"cannot interpret threshold {raw!r}")
 
 
+def _config_int(config: dict, key: str, default):
+    """The integer ``config[key]``, or ``default`` when the key is absent."""
+    if key not in config:
+        return default
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _nonnegative_seed(seed: int, source: str) -> int:
+    if seed < 0:
+        raise ConfigurationError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _resolve_seed(flag_seed, config: dict) -> int:
     env = os.environ.get("JUMPVOL_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as err:
             raise ConfigurationError(f"JUMPVOL_SEED must be an integer, got {env!r}") from err
+        return _nonnegative_seed(seed, "JUMPVOL_SEED")
     if flag_seed is not None:
-        return flag_seed
-    if "seed" in config:
-        return int(config["seed"])
-    return DEFAULT_SEED
+        return _nonnegative_seed(flag_seed, "--seed")
+    return _nonnegative_seed(_config_int(config, "seed", DEFAULT_SEED), "config key 'seed'")
 
 
 def _resolve_out(flag_out, config: dict, key: str = "out") -> str:
@@ -200,7 +207,7 @@ def cmd_simulate(args) -> int:
             model["jump_sizes"] = {"kind": "two_point", "tau": args.tau}
         config["model"] = model
     diff, jumps = _model_from(config)
-    n = args.n if args.n is not None else int(config.get("n", 5000))
+    n = args.n if args.n is not None else _config_int(config, "n", 5000)
     seed = _resolve_seed(args.seed, config)
     out = _resolve_out(args.out, config)
     with_truth = args.with_truth or bool(config.get("with_truth", False))
@@ -232,9 +239,9 @@ def cmd_infer(args) -> int:
     prior = _prior_from(config)
     level = args.level if args.level is not None else float(config.get("level", 0.95))
     truncate = args.truncate_positive or bool(config.get("truncate_positive", False))
-    density_grid = (
-        args.density_grid if args.density_grid is not None else config.get("density_grid")
-    )
+    density_grid = args.density_grid
+    if density_grid is None:
+        density_grid = _config_int(config, "density_grid", None)
     density_out = args.density_out if args.density_out is not None else config.get("density_out")
 
     data = read_increments_csv(sys.stdin if source == "-" else source)
@@ -247,37 +254,30 @@ def cmd_infer(args) -> int:
     else:
         horizon = 1.0
 
-    increments = data.increments
-    n = increments.size
-    eta = rule.resolve(increments)
-    qv = estimate_jump_qv(increments, eta)
-    theta_hat = mle_from_increments(increments, horizon)
-    kappa = compute_kappa(theta_hat, qv, horizon)
-    post = tempered_update(prior, n, theta_hat, kappa)
-    modified = modify_posterior(post, qv, horizon)
-    dist = modified.truncated_positive() if truncate else modified
+    inf = infer_increments(data.increments, horizon, rule, prior)
+    dist = inf.modified.truncated_positive() if truncate else inf.modified
     interval = credible_interval(dist, level)
-    approx = bvm_normal(theta_hat, qv, horizon, n)
+    approx = bvm_normal(inf.theta_hat, inf.qv, horizon, inf.n)
+    post = inf.posterior
     record = {
-        "theta_hat": theta_hat,
-        "jump_qv_hat": qv.jump_qv_hat,
-        "eta": qv.eta,
-        "kappa": kappa,
-        "posterior": {"shape": post.ig.shape, "rate": post.ig.rate, "shift": modified.shift},
+        "theta_hat": inf.theta_hat,
+        "jump_qv_hat": inf.qv.jump_qv_hat,
+        "eta": inf.qv.eta,
+        "kappa": inf.kappa,
+        "posterior": {"shape": post.ig.shape, "rate": post.ig.rate, "shift": inf.modified.shift},
         "interval": {"level": level, "lo": interval.lo, "hi": interval.hi},
         "bvm": {"mean": approx.mean, "variance": approx.variance},
     }
     _write_text(out, json.dumps(record, indent=2) + "\n")
 
     if density_grid is not None:
-        k = int(density_grid)
-        if k < 2:
-            raise ConfigurationError(f"density grid needs at least 2 points, got {k}")
+        if density_grid < 2:
+            raise ConfigurationError(f"density grid needs at least 2 points, got {density_grid}")
         if density_out is None:
             raise ConfigurationError("density output path required when density_grid is set")
         _resolve_out(density_out, {}, key="out")
         # grid spans the central 99.9% posterior mass
-        grid = np.linspace(dist.ppf(0.0005), dist.ppf(0.9995), k)
+        grid = np.linspace(dist.ppf(0.0005), dist.ppf(0.9995), density_grid)
         density = dist.pdf(grid)
         lines = ["theta,density"]
         lines.extend(f"{float(t)!r},{float(p)!r}" for t, p in zip(grid, density))
@@ -305,8 +305,8 @@ def cmd_coverage(args) -> int:
     diff, _ = _model_from(config, with_jumps=False)
     seed = _resolve_seed(args.seed, config)
     out = _resolve_out(args.out, config)
-    reps = args.reps if args.reps is not None else int(config.get("reps", 1000))
-    workers = args.workers if args.workers is not None else int(config.get("workers", 1))
+    reps = args.reps if args.reps is not None else _config_int(config, "reps", 1000)
+    workers = args.workers if args.workers is not None else _config_int(config, "workers", 1)
     coverage_config = CoverageConfig(
         diffusion=diff,
         lambda_grid=tuple(config.get("lambda_grid", (4.0, 8.0, 16.0, 32.0))),
@@ -342,7 +342,7 @@ def cmd_diag(args) -> int:
         theta_star = float(config.get("theta_star", DEFAULT_MODEL["theta_star"]))
         jump_qv = float(config.get("jump_qv", 0.0))
         horizon = float(config.get("horizon", DEFAULT_MODEL["horizon"]))
-        n = args.n if args.n is not None else int(config.get("n", 5000))
+        n = args.n if args.n is not None else _config_int(config, "n", 5000)
         truth = TruthSummary.from_values(theta_star, jump_qv, horizon)
         value = sandwich_variance(truth, horizon, n)
         _write_text(out, _diag_csv([(n, "sandwich_variance", value, None)]))
@@ -352,7 +352,7 @@ def cmd_diag(args) -> int:
     if sub == "bvm":
         diff, jumps = _model_from(config)
         n_grid = tuple(config.get("n_grid", (1000, 4000, 16000)))
-        reps = args.reps if args.reps is not None else int(config.get("reps", 200))
+        reps = args.reps if args.reps is not None else _config_int(config, "reps", 200)
         rows = bvm_convergence_check(
             diff,
             jumps,
@@ -372,7 +372,7 @@ def cmd_diag(args) -> int:
     if sub == "qvrate":
         diff, jumps = _model_from(config)
         n_grid = tuple(config.get("n_grid", (1000, 4000, 16000)))
-        reps = args.reps if args.reps is not None else int(config.get("reps", 500))
+        reps = args.reps if args.reps is not None else _config_int(config, "reps", 500)
         result = qv_error_rate(
             diff, jumps, n_grid, reps, seed, threshold=_threshold_from(args, config)
         )
@@ -386,9 +386,11 @@ def cmd_diag(args) -> int:
 
     # mse: one fixed jump realization, diffusion redrawn per replication
     diff, jumps = _model_from(config)
-    n = args.n if args.n is not None else int(config.get("n", 5000))
-    reps = args.reps if args.reps is not None else int(config.get("reps", 4000))
-    jumps_seed = int(config.get("jumps_seed", seed + 1))
+    n = args.n if args.n is not None else _config_int(config, "n", 5000)
+    reps = args.reps if args.reps is not None else _config_int(config, "reps", 4000)
+    jumps_seed = _nonnegative_seed(
+        _config_int(config, "jumps_seed", seed + 1), "config key 'jumps_seed'"
+    )
     fixed = simulate_jumps(jumps, diff.horizon, seed=jumps_seed)
     result = mse_oracle(diff, fixed, n, reps, seed)
     table = [

@@ -16,14 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, NumericError
-from .posterior import (
-    InverseGammaParams,
-    NormalApprox,
-    compute_kappa,
-    compute_mle,
-    gibbs_update,
-    modify_posterior,
-)
+from .posterior import InverseGammaParams, NormalApprox, compute_mle, infer_increments
 from .seeds import derive_seed
 from .simulate import (
     DiffusionSpec,
@@ -33,7 +26,7 @@ from .simulate import (
     simulate_path,
     simulate_path_given_jumps,
 )
-from .threshold import ThresholdRule, estimate_jump_qv
+from .threshold import ThresholdRule
 
 #: Tails are truncated where both densities fall below this fraction of
 #: their peaks.
@@ -211,22 +204,17 @@ def bvm_convergence_check(
         for rep in range(reps):
             path = simulate_path(diff, jumps, n, seed=derive_seed(seed, cell, rep))
             truth = TruthSummary.from_path(diff, path)
-            eta = rule.resolve(path.increments)
-            qv = estimate_jump_qv(path.increments, eta)
-            theta_hat = compute_mle(path)
-            kappa = compute_kappa(theta_hat, qv, path.horizon)
-            post = gibbs_update(prior, path, kappa)
-            modified = modify_posterior(post, qv, path.horizon)
+            inf = infer_increments(path.increments, path.horizon, rule, prior)
             limit_tempered = NormalApprox(
-                mean=theta_hat,
+                mean=inf.theta_hat,
                 variance=2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
             )
             limit_modified = NormalApprox(
-                mean=theta_hat - qv.jump_qv_hat / path.horizon,
+                mean=inf.theta_hat - inf.modified.shift,
                 variance=2.0 * truth.theta_star**2 / n,
             )
-            tv_t[rep] = tv_distance(post, limit_tempered)
-            tv_m[rep] = tv_distance(modified, limit_modified)
+            tv_t[rep] = tv_distance(inf.posterior, limit_tempered)
+            tv_m[rep] = tv_distance(inf.modified, limit_modified)
         rows.append(
             BvmRow(
                 n=n,

@@ -15,18 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, DegenerateInferenceError
-from .posterior import (
-    CredibleInterval,
-    InverseGammaParams,
-    compute_kappa,
-    compute_mle,
-    credible_interval,
-    gibbs_update,
-    modify_posterior,
-)
+from .posterior import CredibleInterval, InverseGammaParams, credible_interval, infer_increments
 from .seeds import derive_seed
 from .simulate import DiffusionSpec, JumpSpec, simulate_path
-from .threshold import ThresholdRule, estimate_jump_qv
+from .threshold import ThresholdRule
 
 COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerate_count"
 
@@ -62,18 +54,12 @@ def run_replication(
     """One full pass: simulate, detect jumps, build the corrected posterior,
     and check whether the interval covers the true volatility."""
     path = simulate_path(diff, jumps, n, seed=seed)
-    eta = threshold.resolve(path.increments)
-    qv = estimate_jump_qv(path.increments, eta)
-    theta_hat = compute_mle(path)
     try:
-        kappa = compute_kappa(theta_hat, qv, path.horizon)
-        post = gibbs_update(prior, path, kappa)
-        modified = modify_posterior(post, qv, path.horizon)
-        interval = credible_interval(modified, level)
+        inf = infer_increments(path.increments, path.horizon, threshold, prior)
     except DegenerateInferenceError as err:
         return ReplicationResult(
-            theta_hat=theta_hat,
-            jump_qv_hat=qv.jump_qv_hat,
+            theta_hat=err.theta_hat,
+            jump_qv_hat=err.qv.jump_qv_hat,
             kappa=None,
             interval=None,
             covered=None,
@@ -81,10 +67,11 @@ def run_replication(
             degenerate=True,
             degenerate_reason=str(err),
         )
+    interval = credible_interval(inf.modified, level)
     return ReplicationResult(
-        theta_hat=theta_hat,
-        jump_qv_hat=qv.jump_qv_hat,
-        kappa=kappa,
+        theta_hat=inf.theta_hat,
+        jump_qv_hat=inf.qv.jump_qv_hat,
+        kappa=inf.kappa,
         interval=interval,
         covered=interval.contains(diff.theta_star),
         width=interval.width,

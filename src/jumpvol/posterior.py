@@ -12,12 +12,13 @@ the temperature ``kappa = (1 - jump_qv_hat / (T * theta_hat))^2`` restores
 the efficient spread, and subtracting ``jump_qv_hat / T`` from the location
 re-centers it on the diffusion volatility.  For large n the corrected
 posterior is close to ``N(theta_hat - jump_qv_hat / T, 2 * center^2 / n)``.
+:func:`infer_increments` runs these stages in order on one set of increments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sc
@@ -29,13 +30,14 @@ from .errors import (
     NumericError,
 )
 from .simulate import SamplePath
-from .threshold import QvEstimate
+from .threshold import QvEstimate, ThresholdRule, estimate_jump_qv
 
 #: Temperatures below this floor mean essentially all variation was flagged
 #: as jumps; inference is refused rather than numerically exploded.
 KAPPA_FLOOR = 1e-6
 
-#: Absolute tolerance on posterior mass for quantile bisection.
+#: Largest posterior-mass residual ``|F(x) - q|`` a returned quantile ``x`` may
+#: have; a larger one raises :class:`NumericError`.
 QUANTILE_TOL = 1e-9
 
 
@@ -76,51 +78,24 @@ def _invgamma_pdf(x, shape: float, rate: float):
 
 
 def _invgamma_cdf(x, shape: float, rate: float):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        x = float(x)
-        return float(sc.gammaincc(shape, rate / x)) if x > 0.0 else 0.0
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
     out[pos] = sc.gammaincc(shape, rate / x[pos])
-    return out
+    return out if out.ndim else float(out)
 
 
-def _invgamma_ppf(q: float, shape: float, rate: float, tol: float = QUANTILE_TOL) -> float:
-    """Inverse-gamma quantile by bisection on the regularized incomplete gamma."""
+def _invgamma_ppf(q: float, shape: float, rate: float) -> float:
+    """Inverse-gamma quantile ``rate / Q^{-1}(shape, q)``, with ``Q`` the
+    regularized upper incomplete gamma function."""
     if not 0.0 < q < 1.0:
         raise ConfigurationError(f"quantile level must lie in (0, 1), got {q}")
-
-    def cdf(x: float) -> float:
-        return float(sc.gammaincc(shape, rate / x))
-
-    mode = rate / (shape + 1.0)
-    lo = hi = mode
-    for _ in range(2000):
-        if cdf(lo) <= q:
-            break
-        lo *= 0.5
-    else:
-        raise NumericError(f"quantile bracket failed below (shape={shape}, rate={rate}, q={q})")
-    for _ in range(2000):
-        if cdf(hi) >= q:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError(f"quantile bracket failed above (shape={shape}, rate={rate}, q={q})")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    residual = abs(cdf(x) - q)
-    if residual > tol:
+    y = float(sc.gammainccinv(shape, q))
+    x = rate / y if y > 0.0 else math.inf
+    residual = abs(float(sc.gammaincc(shape, rate / x)) - q)
+    if not residual <= QUANTILE_TOL:
         raise NumericError(
-            f"quantile solver did not converge: shape={shape}, rate={rate}, "
+            f"quantile out of tolerance: shape={shape}, rate={rate}, "
             f"q={q}, x={x}, mass residual={residual:.3e}"
         )
     return x
@@ -180,8 +155,6 @@ class ModifiedPosterior:
         return self.base.pdf(np.asarray(x, dtype=float) + self.shift)
 
     def cdf(self, x):
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return self.base.cdf(float(x) + self.shift)
         return self.base.cdf(np.asarray(x, dtype=float) + self.shift)
 
     def ppf(self, q: float) -> float:
@@ -208,31 +181,24 @@ class TruncatedPosterior:
     """A shifted posterior clipped to ``(0, inf)`` and renormalized."""
 
     source: ModifiedPosterior
+    mass_below_zero: float = field(init=False)
 
-    @property
-    def _tail(self) -> float:
-        return 1.0 - self.source.mass_below_zero()
+    def __post_init__(self):
+        object.__setattr__(self, "mass_below_zero", self.source.mass_below_zero())
 
     def pdf(self, x):
-        if np.isscalar(x) or np.ndim(x) == 0:
-            x = float(x)
-            return self.source.pdf(x) / self._tail if x > 0.0 else 0.0
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0, self.source.pdf(x) / self._tail, 0.0)
+        out = np.where(x > 0, self.source.pdf(x) / (1.0 - self.mass_below_zero), 0.0)
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
-        f0 = self.source.mass_below_zero()
-        if np.isscalar(x) or np.ndim(x) == 0:
-            x = float(x)
-            if x <= 0.0:
-                return 0.0
-            return min(max((self.source.cdf(x) - f0) / self._tail, 0.0), 1.0)
         x = np.asarray(x, dtype=float)
-        out = np.clip((self.source.cdf(x) - f0) / self._tail, 0.0, 1.0)
-        return np.where(x > 0, out, 0.0)
+        f0 = self.mass_below_zero
+        out = np.where(x > 0, np.clip((self.source.cdf(x) - f0) / (1.0 - f0), 0.0, 1.0), 0.0)
+        return out if out.ndim else float(out)
 
     def ppf(self, q: float) -> float:
-        f0 = self.source.mass_below_zero()
+        f0 = self.mass_below_zero
         return self.source.ppf(f0 + q * (1.0 - f0))
 
 
@@ -263,9 +229,8 @@ class NormalApprox:
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(sc.ndtr((float(x) - self.mean) / self.sd))
-        return sc.ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
+        out = sc.ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
+        return out if out.ndim else float(out)
 
     def ppf(self, q: float) -> float:
         return self.mean + self.sd * float(sc.ndtri(q))
@@ -386,3 +351,54 @@ def bvm_normal(theta_hat: float, qv: QvEstimate, horizon: float, n: int) -> Norm
     if not (np.isfinite(center) and center > 0):
         raise DegenerateInferenceError(f"nonpositive shifted center {center}")
     return NormalApprox(mean=center, variance=2.0 * center * center / n)
+
+
+# ---------------------------------------------------------------------------
+# Pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Inference:
+    """Every stage of the corrected posterior for one set of increments:
+    the tempered ``posterior`` and the ``modified`` one shifted by
+    ``qv.jump_qv_hat / horizon``."""
+
+    n: int
+    theta_hat: float
+    qv: QvEstimate
+    kappa: float
+    posterior: GibbsPosterior
+    modified: ModifiedPosterior
+
+
+def infer_increments(
+    increments, horizon: float, rule: ThresholdRule, prior: InverseGammaParams
+) -> Inference:
+    """Threshold, MLE, temperature, conjugate update and shift, in that order.
+
+    Non-finite increments are rejected with a :class:`ConfigurationError`
+    naming the first bad 1-based row.  When no temperature can be formed
+    (``theta_hat`` is zero or ``kappa`` is at or below :data:`KAPPA_FLOOR`),
+    the :class:`DegenerateInferenceError` carries the estimates made so far
+    as ``theta_hat`` and ``qv``.
+    """
+    d = np.asarray(increments, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        raise ConfigurationError(f"increment in row {bad[0] + 1} is not finite: {d[bad[0]]}")
+    qv = estimate_jump_qv(d, rule.resolve(d))
+    theta_hat = mle_from_increments(d, horizon)
+    try:
+        kappa = compute_kappa(theta_hat, qv, horizon)
+    except DegenerateInferenceError as err:
+        err.theta_hat, err.qv = theta_hat, qv
+        raise
+    post = tempered_update(prior, d.size, theta_hat, kappa)
+    return Inference(
+        n=d.size,
+        theta_hat=theta_hat,
+        qv=qv,
+        kappa=kappa,
+        posterior=post,
+        modified=modify_posterior(post, qv, horizon),
+    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -179,13 +179,21 @@ class JumpRealization:
 class PathTruth:
     """Hidden generative state of a simulated path.
 
-    ``mu`` holds the per-window jump sums, ``jump_qv`` their squared total,
-    and ``jump_windows`` the 1-based indices of windows with a nonzero sum.
+    ``mu`` holds the per-window jump sums; ``jump_qv`` (their squared total)
+    and ``jump_windows`` (the 1-based indices of windows with a nonzero sum)
+    are derived from it.
     """
 
     mu: np.ndarray
-    jump_qv: float
-    jump_windows: tuple[int, ...]
+    jump_qv: float = field(init=False)
+    jump_windows: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=float)
+        nz = mu[mu != 0.0]
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "jump_qv", float(np.sum(nz * nz)))
+        object.__setattr__(self, "jump_windows", tuple(int(i) for i in np.flatnonzero(mu) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,16 +212,8 @@ class SamplePath:
             raise ConfigurationError(f"expected {self.n} increments, got shape {increments.shape}")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ConfigurationError(f"delta must be positive, got {self.delta}")
-        if self.truth is not None:
-            mu = np.asarray(self.truth.mu, dtype=float)
-            if mu.shape != increments.shape:
-                raise ConfigurationError("truth.mu must match the increments in length")
-            windows = tuple(int(i) for i in np.flatnonzero(mu) + 1)
-            if windows != tuple(self.truth.jump_windows):
-                raise ConfigurationError("truth.jump_windows inconsistent with truth.mu")
-            qv = _jump_qv(mu)
-            if abs(qv - self.truth.jump_qv) > 1e-12 * max(1.0, abs(qv)):
-                raise ConfigurationError("truth.jump_qv inconsistent with truth.mu")
+        if self.truth is not None and self.truth.mu.shape != increments.shape:
+            raise ConfigurationError("truth.mu must match the increments in length")
 
     @property
     def horizon(self) -> float:
@@ -224,11 +224,6 @@ class SamplePath:
     def times(self) -> np.ndarray:
         """Grid times t_1 .. t_n (right endpoints of the windows)."""
         return np.arange(1, self.n + 1) * self.delta
-
-
-def _jump_qv(mu: np.ndarray) -> float:
-    nz = mu[mu != 0.0]
-    return float(np.sum(nz * nz))
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +290,7 @@ def simulate_path_given_jumps(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     increments = diff.beta * delta + np.sqrt(diff.theta_star * delta) * z + mu
-    truth = PathTruth(
-        mu=mu,
-        jump_qv=_jump_qv(mu),
-        jump_windows=tuple(int(i) for i in np.flatnonzero(mu) + 1),
-    )
-    return SamplePath(n=n, delta=delta, increments=increments, truth=truth)
+    return SamplePath(n=n, delta=delta, increments=increments, truth=PathTruth(mu))
 
 
 def simulate_path(

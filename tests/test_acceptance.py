@@ -20,12 +20,10 @@ from jumpvol import (
     SamplePath,
     ThresholdRule,
     bvm_convergence_check,
-    compute_kappa,
     compute_mle,
     derive_seed,
-    estimate_jump_qv,
     gibbs_update,
-    modify_posterior,
+    infer_increments,
     mse_oracle,
     run_coverage,
     simulate_jumps,
@@ -77,13 +75,9 @@ def test_criterion_2_efficiency():
     posterior_vars = np.empty(reps)
     for rep in range(reps):
         path = simulate_path(DIFF, nojumps, n, seed=derive_seed(5150, 0, rep))
-        qv = estimate_jump_qv(path.increments, IQR5.resolve(path.increments))
-        theta_hat = compute_mle(path)
-        kappa = compute_kappa(theta_hat, qv, path.horizon)
-        post = gibbs_update(PRIOR, path, kappa)
-        modified = modify_posterior(post, qv, path.horizon)
-        centers[rep] = theta_hat - qv.jump_qv_hat / path.horizon
-        posterior_vars[rep] = modified.variance
+        inf = infer_increments(path.increments, path.horizon, IQR5, PRIOR)
+        centers[rep] = inf.theta_hat - inf.qv.jump_qv_hat / path.horizon
+        posterior_vars[rep] = inf.modified.variance
     target = 2.0 * DIFF.theta_star**2 / n
     center_var = centers.var(ddof=1)
     mean_post_var = posterior_vars.mean()
@@ -204,15 +198,11 @@ def test_criterion_7_identity_suite():
 
     # kappa = 1 when nothing exceeds the threshold
     path = simulate_path(DIFF, JumpSpec.two_point(0.0, 3.0), 1000, seed=1)
-    eta = IQR5.resolve(path.increments)
-    qv = estimate_jump_qv(path.increments, eta)
-    kappa = compute_kappa(compute_mle(path), qv, path.horizon)
-    checks.append(("kappa=1 with no flags", qv.flagged == () and kappa == 1.0))
+    inf = infer_increments(path.increments, path.horizon, IQR5, PRIOR)
+    checks.append(("kappa=1 with no flags", inf.qv.flagged == () and inf.kappa == 1.0))
 
     # zero shift when nothing is flagged
-    post = gibbs_update(PRIOR, path, kappa)
-    modified = modify_posterior(post, qv, path.horizon)
-    checks.append(("zero shift", modified.shift == 0.0))
+    checks.append(("zero shift", inf.modified.shift == 0.0))
 
     # TV(f, f) = 0
     f = NormalApprox(mean=2.0, variance=3.0)

@@ -155,6 +155,47 @@ def test_env_seed_overrides_flag(tmp_path, capsys, monkeypatch):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("source", ["env", "flag", "config"])
+def test_negative_seed_exits_2(source, tmp_path, capsys, monkeypatch):
+    args = ["simulate", "--n", "5", "--out", "-"]
+    if source == "env":
+        monkeypatch.setenv("JUMPVOL_SEED", "-1")
+    elif source == "flag":
+        args += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args += ["--config", str(cfg)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "seed" in err.lower() and "-1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["simulate"], "n", 2.5),
+        (["simulate"], "seed", True),
+        (["coverage"], "reps", "abc"),
+        (["coverage"], "workers", 1.5),
+        (["diag", "mse"], "jumps_seed", "7"),
+        (["infer"], "density_grid", True),
+    ],
+)
+def test_non_integer_config_value_exits_2(command, key, value, tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    args = command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == ["infer"]:
+        args += ["--input", str(raw)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert repr(key) in err
+
+
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------
@@ -239,6 +280,16 @@ def test_infer_degenerate_exits_4(tmp_path, capsys):
     assert code == 4
     diagnostic = json.loads(out)
     assert diagnostic["error"] == "degenerate_inference"
+
+
+def test_infer_non_finite_increment_names_row(tmp_path, capsys):
+    csv_path = tmp_path / "path.csv"
+    rows = ["index,t_i,D_i", "1,0.2,0.1", "2,0.4,-0.3", "3,0.6,nan", "4,0.8,0.2", "5,1.0,0.4"]
+    csv_path.write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(["infer", "--input", str(csv_path), "--out", "-"], capsys)
+    assert code == 2
+    assert "row 3" in err
+    assert out == ""
 
 
 def test_infer_missing_input_exits_2(tmp_path, capsys):

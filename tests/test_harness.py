@@ -10,9 +10,11 @@ from jumpvol import (
     InverseGammaParams,
     JumpSpec,
     ThresholdRule,
+    compute_mle,
     derive_seed,
     run_coverage,
     run_replication,
+    simulate_path,
     write_coverage_csv,
 )
 
@@ -85,6 +87,10 @@ def test_replication_degenerate_is_reported_not_raised():
     assert result.covered is None
     assert result.interval is None
     assert "temperature" in result.degenerate_reason
+    # the estimates made before the temperature failed are still reported
+    path = simulate_path(DIFF, jumps, 500, seed=5)
+    assert result.theta_hat == compute_mle(path)
+    assert result.jump_qv_hat == pytest.approx(result.theta_hat * path.horizon, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

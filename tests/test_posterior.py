@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -9,6 +11,7 @@ from jumpvol import (
     ConfigurationError,
     DegenerateDataError,
     DegenerateInferenceError,
+    KAPPA_FLOOR,
     DiffusionSpec,
     GibbsPosterior,
     InverseGammaParams,
@@ -24,6 +27,7 @@ from jumpvol import (
     derive_seed,
     estimate_jump_qv,
     gibbs_update,
+    infer_increments,
     modify_posterior,
     simulate_path,
     tempered_update,
@@ -200,9 +204,9 @@ def test_tempering_shrinks_posterior_variance():
 
 def test_quantiles_match_scipy():
     rng = np.random.default_rng(55)
-    for _ in range(30):
-        shape = 10 ** rng.uniform(-0.3, 5.0)
-        rate = 10 ** rng.uniform(-1.0, 6.0)
+    draws = [(10 ** rng.uniform(-0.3, 5.0), 10 ** rng.uniform(-1.0, 6.0)) for _ in range(30)]
+    # shapes near n / (2 kappa) of a 1M-row infer
+    for shape, rate in draws + [(5e5, 5e6), (1e6, 1e7)]:
         post = GibbsPosterior(ig=InverseGammaParams(shape, rate), kappa=1.0, n=1, theta_hat=1.0)
         frozen = stats.invgamma(shape, scale=rate)
         for q in (1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6):
@@ -346,3 +350,62 @@ def test_single_path_inference_brackets_truth():
     interval = credible_interval(modified, 0.95)
     assert interval.contains(DIFF.theta_star)
     assert abs(modified.mean - DIFF.theta_star) < 0.5
+
+
+# ---------------------------------------------------------------------------
+# The whole pipeline: properties over generated increments
+# ---------------------------------------------------------------------------
+
+# increments on a 1e-3 grid, so no square underflows
+_increments = st.lists(st.integers(-(10**6), 10**6), min_size=4, max_size=60).map(
+    lambda ks: np.array(ks) / 1000.0
+)
+
+
+def _infer_or_none(d):
+    try:
+        return infer_increments(d, 1.0, ThresholdRule.iqr(), PRIOR)
+    except DegenerateInferenceError:
+        return None
+
+
+@settings(derandomize=True, deadline=None)
+@given(d=_increments, k=st.integers(-20, 20))
+def test_pipeline_scale_equivariance(d, k):
+    # c a power of two scales every stage exactly, so no increment can cross
+    # the threshold by rounding
+    c = 2.0**k
+    base, scaled = _infer_or_none(d), _infer_or_none(c * d)
+    assert (base is None) == (scaled is None)
+    if base is not None:
+        assert scaled.theta_hat == pytest.approx(c * c * base.theta_hat, rel=1e-12)
+        assert scaled.kappa == base.kappa
+
+
+@settings(derandomize=True, deadline=None)
+@given(d=_increments, data=st.data())
+def test_pipeline_permutation_invariance(d, data):
+    permuted = d[data.draw(st.permutations(range(d.size)))]
+    base, other = _infer_or_none(d), _infer_or_none(permuted)
+    assert (base is None) == (other is None)
+    if base is not None:
+        assert other.theta_hat == pytest.approx(base.theta_hat, rel=1e-12)
+        assert other.kappa == pytest.approx(base.kappa, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(d=_increments)
+def test_pipeline_kappa_in_range(d):
+    inf = _infer_or_none(d)
+    if inf is not None:
+        assert KAPPA_FLOOR < inf.kappa <= 1.0
+
+
+@settings(derandomize=True, deadline=None)
+@given(d=_increments, levels=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2))
+def test_pipeline_intervals_nested_in_level(d, levels):
+    inf = _infer_or_none(d)
+    if inf is not None:
+        inner = credible_interval(inf.modified, min(levels))
+        outer = credible_interval(inf.modified, max(levels))
+        assert outer.lo <= inner.lo <= inner.hi <= outer.hi
