@@ -6,7 +6,8 @@ every command is deterministic given (config, seed).  The ``JUMPVOL_SEED``
 environment variable overrides any configured seed.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O failure, 4 degenerate
-inference (with a structured diagnostic JSON on stdout).
+inference or a numeric routine that missed its tolerance (with a structured
+diagnostic JSON on stdout).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import TruthSummary, bvm_convergence_check, mse_oracle, sandwich_variance
-from .errors import ConfigurationError, DegenerateInferenceError
+from .errors import ConfigurationError, DegenerateInferenceError, NumericError
 from .harness import CoverageConfig, run_coverage, write_coverage_csv
 from .posterior import InverseGammaParams, bvm_normal, credible_interval, infer_increments
 from .simulate import (
@@ -90,9 +91,9 @@ def _size_law(spec: dict):
         raise ConfigurationError(f"unknown jump size law {kind!r}")
     _check_keys(spec, _SIZE_KEYS[kind], "jump_sizes")
     if kind == "two_point":
-        return TwoPointSizes(float(spec["tau"]))
+        return TwoPointSizes(_config_float(spec, "tau"))
     if kind == "fixed":
-        return FixedSize(float(spec["value"]))
+        return FixedSize(_config_float(spec, "value"))
     return SizeTable(tuple(spec["values"]), tuple(spec["probs"]))
 
 
@@ -101,21 +102,23 @@ def _model_from(config: dict, with_jumps: bool = True):
     merged.update(config.get("model", {}))
     _check_keys(merged, _MODEL_KEYS, "model")
     diff = DiffusionSpec(
-        beta=float(merged["beta"]),
-        theta_star=float(merged["theta_star"]),
-        horizon=float(merged["horizon"]),
+        beta=_config_float(merged, "beta"),
+        theta_star=_config_float(merged, "theta_star"),
+        horizon=_config_float(merged, "horizon"),
     )
     if not with_jumps:
         _check_keys(config.get("model", {}), _MODEL_BASE_KEYS, "model")
         return diff, None
-    jumps = JumpSpec(rate=float(merged["jump_rate"]), size_law=_size_law(merged["jump_sizes"]))
+    jumps = JumpSpec(
+        rate=_config_float(merged, "jump_rate"), size_law=_size_law(merged["jump_sizes"])
+    )
     return diff, jumps
 
 
 def _prior_from(config: dict) -> InverseGammaParams:
     raw = config.get("prior", {"shape": 1.0, "rate": 1.0})
     _check_keys(raw, _PRIOR_KEYS, "prior")
-    return InverseGammaParams(shape=float(raw["shape"]), rate=float(raw["rate"]))
+    return InverseGammaParams(shape=_config_float(raw, "shape"), rate=_config_float(raw, "rate"))
 
 
 def _threshold_from(args, config: dict) -> ThresholdRule:
@@ -124,7 +127,7 @@ def _threshold_from(args, config: dict) -> ThresholdRule:
         return ThresholdRule.parse(raw)
     if isinstance(raw, dict):
         _check_keys(raw, {"kind", "value"}, "threshold")
-        return ThresholdRule(kind=str(raw["kind"]), value=float(raw["value"]))
+        return ThresholdRule(kind=str(raw["kind"]), value=_config_float(raw, "value"))
     raise ConfigurationError(f"cannot interpret threshold {raw!r}")
 
 
@@ -136,6 +139,19 @@ def _config_int(config: dict, key: str, default):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"config key {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _config_float(config: dict, key: str, default=None) -> float:
+    """The number ``config[key]`` as a float, or ``default`` when the key is
+    absent; with no default the key is required."""
+    if key not in config:
+        if default is None:
+            raise ConfigurationError(f"config key {key!r} is missing")
+        return default
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _nonnegative_seed(seed: int, source: str) -> int:
@@ -237,7 +253,7 @@ def cmd_infer(args) -> int:
     out = _resolve_out(args.out, config)
     rule = _threshold_from(args, config)
     prior = _prior_from(config)
-    level = args.level if args.level is not None else float(config.get("level", 0.95))
+    level = args.level if args.level is not None else _config_float(config, "level", 0.95)
     truncate = args.truncate_positive or bool(config.get("truncate_positive", False))
     density_grid = args.density_grid
     if density_grid is None:
@@ -248,7 +264,7 @@ def cmd_infer(args) -> int:
     if args.horizon is not None:
         horizon = args.horizon
     elif "horizon" in config:
-        horizon = float(config["horizon"])
+        horizon = _config_float(config, "horizon")
     elif data.horizon is not None:
         horizon = data.horizon
     else:
@@ -313,7 +329,7 @@ def cmd_coverage(args) -> int:
         tau_grid=tuple(config.get("tau_grid", (1.0, 2.0, 4.0, 8.0))),
         n_grid=tuple(config.get("n_grid", (5000,))),
         reps=reps,
-        level=args.level if args.level is not None else float(config.get("level", 0.95)),
+        level=args.level if args.level is not None else _config_float(config, "level", 0.95),
         threshold=_threshold_from(args, config),
         prior=_prior_from(config),
         base_seed=seed,
@@ -339,9 +355,9 @@ def cmd_diag(args) -> int:
     out = _resolve_out(args.out, config)
 
     if sub == "sandwich":
-        theta_star = float(config.get("theta_star", DEFAULT_MODEL["theta_star"]))
-        jump_qv = float(config.get("jump_qv", 0.0))
-        horizon = float(config.get("horizon", DEFAULT_MODEL["horizon"]))
+        theta_star = _config_float(config, "theta_star", DEFAULT_MODEL["theta_star"])
+        jump_qv = _config_float(config, "jump_qv", 0.0)
+        horizon = _config_float(config, "horizon", DEFAULT_MODEL["horizon"])
         n = args.n if args.n is not None else _config_int(config, "n", 5000)
         truth = TruthSummary.from_values(theta_star, jump_qv, horizon)
         value = sandwich_variance(truth, horizon, n)
@@ -478,6 +494,10 @@ def main(argv=None) -> int:
         return 2
     except DegenerateInferenceError as err:
         diagnostic = {"error": "degenerate_inference", "message": str(err)}
+        sys.stdout.write(json.dumps(diagnostic, indent=2) + "\n")
+        return 4
+    except NumericError as err:
+        diagnostic = {"error": "numeric", "message": str(err)}
         sys.stdout.write(json.dumps(diagnostic, indent=2) + "\n")
         return 4
     except OSError as err:

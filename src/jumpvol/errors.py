@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-I/O failures with 3, and degenerate inference with 4.
+I/O failures with 3, and degenerate inference or a numeric routine that
+missed its tolerance with 4.
 """
 
 

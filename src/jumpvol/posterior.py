@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sc
+from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -61,12 +62,6 @@ def _invgamma_lognorm(shape: float, rate: float) -> float:
 
 
 def _invgamma_pdf(x, shape: float, rate: float):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        x = float(x)
-        if x <= 0.0:
-            return 0.0
-        arg = _invgamma_lognorm(shape, rate) - (shape + 1.0) * math.log(x) - rate / x
-        return math.exp(arg) if arg > -745.0 else 0.0
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
@@ -74,7 +69,7 @@ def _invgamma_pdf(x, shape: float, rate: float):
         out[pos] = np.exp(
             _invgamma_lognorm(shape, rate) - (shape + 1.0) * np.log(x[pos]) - rate / x[pos]
         )
-    return out
+    return out if out.ndim else float(out)
 
 
 def _invgamma_cdf(x, shape: float, rate: float):
@@ -85,14 +80,36 @@ def _invgamma_cdf(x, shape: float, rate: float):
     return out if out.ndim else float(out)
 
 
+def _gammaincc_root(shape: float, q: float, y: float) -> float:
+    """Root of ``Q(shape, t) = q`` in a bracket around the estimate ``y``,
+    widened from a thousandth of the gamma law's spread until ``Q - q``
+    changes sign across it."""
+
+    def excess(t: float) -> float:
+        return float(sc.gammaincc(shape, t)) - q
+
+    step = 1e-3 * math.sqrt(shape)
+    while excess(max(y - step, 0.0)) * excess(y + step) > 0.0:
+        step *= 2.0
+    return brentq(excess, max(y - step, 0.0), y + step)
+
+
 def _invgamma_ppf(q: float, shape: float, rate: float) -> float:
     """Inverse-gamma quantile ``rate / Q^{-1}(shape, q)``, with ``Q`` the
-    regularized upper incomplete gamma function."""
+    regularized upper incomplete gamma function.
+
+    Where ``gammainccinv`` misses :data:`QUANTILE_TOL` (from shapes of about
+    3.5e7 near ``q = 1 - 1e-6``), a bracketed root solve of the same residual
+    refines it; every other quantile is the closed form as is.
+    """
     if not 0.0 < q < 1.0:
         raise ConfigurationError(f"quantile level must lie in (0, 1), got {q}")
     y = float(sc.gammainccinv(shape, q))
     x = rate / y if y > 0.0 else math.inf
     residual = abs(float(sc.gammaincc(shape, rate / x)) - q)
+    if not residual <= QUANTILE_TOL and 0.0 < y < math.inf:
+        x = rate / _gammaincc_root(shape, q, y)
+        residual = abs(float(sc.gammaincc(shape, rate / x)) - q)
     if not residual <= QUANTILE_TOL:
         raise NumericError(
             f"quantile out of tolerance: shape={shape}, rate={rate}, "
@@ -150,8 +167,6 @@ class ModifiedPosterior:
             raise ConfigurationError(f"shift must be nonnegative, got {self.shift}")
 
     def pdf(self, x):
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return self.base.pdf(float(x) + self.shift)
         return self.base.pdf(np.asarray(x, dtype=float) + self.shift)
 
     def cdf(self, x):
@@ -218,15 +233,9 @@ class NormalApprox:
         return math.sqrt(self.variance)
 
     def pdf(self, x):
-        if np.isscalar(x) or np.ndim(x) == 0:
-            z = (float(x) - self.mean) / self.sd
-            arg = -0.5 * z * z
-            if arg <= -745.0:
-                return 0.0
-            return math.exp(arg) / (self.sd * math.sqrt(2.0 * math.pi))
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
+        out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
         out = sc.ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)

@@ -21,6 +21,7 @@ from jumpvol import (
     simulate_path,
     DiffusionSpec,
     JumpSpec,
+    NumericError,
 )
 from jumpvol.cli import main
 
@@ -188,6 +189,32 @@ def test_non_integer_config_value_exits_2(command, key, value, tmp_path, capsys)
     raw.write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
+    args = command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == ["infer"]:
+        args += ["--input", str(raw)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        (["infer"], {"level": "abc"}, "level"),
+        (["infer"], {"horizon": True}, "horizon"),
+        (["infer"], {"prior": {"shape": None, "rate": 1.0}}, "shape"),
+        (["infer"], {"threshold": {"kind": "iqr", "value": "5"}}, "value"),
+        (["simulate"], {"model": {"theta_star": "x"}}, "theta_star"),
+        (["simulate"], {"model": {"jump_sizes": {"kind": "two_point", "tau": "3"}}}, "tau"),
+        (["coverage"], {"level": False}, "level"),
+        (["diag", "sandwich"], {"jump_qv": None}, "jump_qv"),
+    ],
+)
+def test_non_numeric_float_config_value_exits_2(command, config, key, tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
     args = command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
     if command == ["infer"]:
         args += ["--input", str(raw)]
@@ -442,9 +469,38 @@ def test_diag_bvm_output_shape(tmp_path, capsys):
     assert stats == {"tv_tempered", "tv_modified"}
 
 
+def test_diag_bvm_at_posterior_shapes_above_1e8(tmp_path, capsys):
+    # at n = 16000 the tempered shapes reach about 2.4e8, where the closed-form
+    # quantile alone misses its mass tolerance near q = 1 - 1e-6
+    cfg = tmp_path / "bvm.json"
+    cfg.write_text(json.dumps({
+        "model": {"jump_rate": 16.0, "jump_sizes": {"kind": "two_point", "tau": 8.0}},
+        "n_grid": [1000, 16000],
+        "reps": 100,
+        "seed": 0,
+    }))
+    code, out, _ = run_cli(["diag", "bvm", "--config", str(cfg), "--out", "-"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 5
+
+
 # ---------------------------------------------------------------------------
 # exit codes and entry point
 # ---------------------------------------------------------------------------
+
+def test_numeric_error_exits_4(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NumericError("quadrature error 2.00e-04 exceeds 1e-04")
+
+    monkeypatch.setattr("jumpvol.cli.bvm_convergence_check", fail)
+    code, out, err = run_cli(["diag", "bvm", "--out", "-"], capsys)
+    assert code == 4
+    assert json.loads(out) == {
+        "error": "numeric",
+        "message": "quadrature error 2.00e-04 exceeds 1e-04",
+    }
+    assert "Traceback" not in err
+
 
 def test_io_failure_exits_3(tmp_path, capsys):
     code, _, err = run_cli(["simulate", "--n", "10", "--out", str(tmp_path)], capsys)

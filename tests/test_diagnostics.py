@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from jumpvol import (
     ConfigurationError,
@@ -9,19 +10,23 @@ from jumpvol import (
     InverseGammaParams,
     JumpRealization,
     JumpSpec,
+    ModifiedPosterior,
     NormalApprox,
     ThresholdRule,
     TruthSummary,
     bvm_convergence_check,
     compute_kappa,
     compute_mle,
+    derive_seed,
     estimate_jump_qv,
     gibbs_update,
+    infer_increments,
     modify_posterior,
     mse_oracle,
     sandwich_variance,
     simulate_jumps,
     simulate_path,
+    tempered_update,
     tv_distance,
 )
 
@@ -106,6 +111,61 @@ def test_tv_rejects_unnormalized_density():
 
     with pytest.raises(ValueError):
         tv_distance(Doubled(), NormalApprox(0.0, 1.0))
+
+
+def _quad_tv(a, b) -> float:
+    """Reference TV: adaptive quadrature to 1e-9 between both densities'
+    1e-14 quantiles, with breakpoints at their quantiles and at 0."""
+    levels = (1e-14, 1e-6, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0 - 1e-6, 1.0 - 1e-14)
+    knots = sorted({dist.ppf(p) for dist in (a, b) for p in levels})
+    lo, hi = knots[0], knots[-1]
+    points = [p for p in knots[1:-1] + [0.0] if lo < p < hi]
+    value, abserr = quad(
+        lambda x: abs(a.pdf(x) - b.pdf(x)),
+        lo, hi, points=points, limit=1000, epsabs=1e-9, epsrel=1e-9,
+    )
+    assert abserr < 1e-6
+    return 0.5 * value
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize(
+    "n, rate, tau, kind",
+    [
+        (40, 5.0, 3.0, "tempered"),
+        (40, 32.0, 1.0, "shifted"),
+        (40, 16.0, 8.0, "truncated"),
+        (1000, 5.0, 3.0, "shifted"),
+        (1000, 32.0, 1.0, "truncated"),
+        (1000, 16.0, 8.0, "tempered"),
+        (16000, 5.0, 3.0, "truncated"),
+        (16000, 32.0, 1.0, "tempered"),
+        (16000, 16.0, 8.0, "shifted"),
+    ],
+)
+def test_tv_matches_adaptive_quadrature(n, rate, tau, kind):
+    path = simulate_path(DIFF, JumpSpec.two_point(rate, tau), n, seed=derive_seed(7, n, int(rate)))
+    truth = TruthSummary.from_path(DIFF, path)
+    inf = infer_increments(path.increments, path.horizon, ThresholdRule.iqr(), PRIOR)
+    if kind == "tempered":
+        dist = inf.posterior
+        limit = NormalApprox(inf.theta_hat, 2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n)
+    else:
+        dist = inf.modified if kind == "shifted" else inf.modified.truncated_positive()
+        limit = NormalApprox(inf.theta_hat - inf.modified.shift, 2.0 * truth.theta_star**2 / n)
+    assert tv_distance(dist, limit) == pytest.approx(_quad_tv(dist, limit), abs=1e-4)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_tv_of_truncated_posterior_with_mass_below_zero():
+    # the clipped density jumps at 0, inside the support of the normal
+    post = tempered_update(PRIOR, n=6, theta_hat=1.0, kappa=1.0)
+    truncated = ModifiedPosterior(base=post, shift=1.5).truncated_positive()
+    assert truncated.mass_below_zero > 0.01
+    for limit in (NormalApprox(0.2, 0.3), NormalApprox(1.0, 4.0)):
+        assert tv_distance(truncated, limit) == pytest.approx(
+            _quad_tv(truncated, limit), abs=1e-4
+        )
 
 
 # ---------------------------------------------------------------------------

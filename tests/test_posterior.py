@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 from scipy import stats
 from scipy.integrate import quad
 
@@ -32,6 +33,7 @@ from jumpvol import (
     simulate_path,
     tempered_update,
 )
+from jumpvol.posterior import QUANTILE_TOL
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -211,6 +213,31 @@ def test_quantiles_match_scipy():
         frozen = stats.invgamma(shape, scale=rate)
         for q in (1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6):
             assert post.ppf(q) == pytest.approx(frozen.ppf(q), rel=1e-7)
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.025, 0.975, 1.0 - 1e-6])
+@pytest.mark.parametrize("shape", [3.5e7, 1e8, 2.4e8])
+def test_quantile_mass_residual_at_large_shapes(shape, q):
+    # shapes of n / (2 kappa) at n = 16000 with rate 16, tau 8: gammainccinv
+    # alone misses the mass tolerance near q = 1 - 1e-6 there
+    rate = 1.7e3 * shape
+    post = GibbsPosterior(ig=InverseGammaParams(shape, rate), kappa=1.0, n=1, theta_hat=1.0)
+    x = post.ppf(q)
+    assert abs(sc.gammaincc(shape, rate / x) - q) <= QUANTILE_TOL
+    closed_form = rate / sc.gammainccinv(shape, q)
+    if abs(sc.gammaincc(shape, rate / closed_form) - q) <= QUANTILE_TOL:
+        assert x == closed_form
+
+
+def test_pdf_of_a_float_is_the_array_value():
+    post = tempered_update(PRIOR, n=40, theta_hat=12.0, kappa=0.4)
+    modified = modify_posterior(post, _qv(3.0), horizon=1.0)
+    densities = (post, modified, modified.truncated_positive(), NormalApprox(9.0, 2.5))
+    for dist in densities:
+        for x in (-4.0, -1e-3, 0.0, 1e-3, 2.5, 9.0, 14.0, 1e3):
+            value = dist.pdf(x)
+            assert type(value) is float
+            assert value == dist.pdf(np.array([x]))[0]
 
 
 def test_cdf_matches_scipy():
