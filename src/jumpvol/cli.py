@@ -84,22 +84,21 @@ def _load_config(path: str | None, allowed: set, where: str) -> dict:
 
 
 def _size_law(spec: dict):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("jump_sizes must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind not in _SIZE_KEYS:
-        raise ConfigurationError(f"unknown jump size law {kind!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SIZE_KEYS:
+        raise ConfigurationError(f"unknown jump size law {kind!r} in 'jump_sizes'")
     _check_keys(spec, _SIZE_KEYS[kind], "jump_sizes")
     if kind == "two_point":
         return TwoPointSizes(_config_float(spec, "tau"))
     if kind == "fixed":
         return FixedSize(_config_float(spec, "value"))
-    return SizeTable(tuple(spec["values"]), tuple(spec["probs"]))
+    return SizeTable(_config_list(spec, "values"), _config_list(spec, "probs"))
 
 
 def _model_from(config: dict, with_jumps: bool = True):
+    model = _config_object(config, "model", {})
     merged = dict(DEFAULT_MODEL)
-    merged.update(config.get("model", {}))
+    merged.update(model)
     _check_keys(merged, _MODEL_KEYS, "model")
     diff = DiffusionSpec(
         beta=_config_float(merged, "beta"),
@@ -107,16 +106,17 @@ def _model_from(config: dict, with_jumps: bool = True):
         horizon=_config_float(merged, "horizon"),
     )
     if not with_jumps:
-        _check_keys(config.get("model", {}), _MODEL_BASE_KEYS, "model")
+        _check_keys(model, _MODEL_BASE_KEYS, "model")
         return diff, None
     jumps = JumpSpec(
-        rate=_config_float(merged, "jump_rate"), size_law=_size_law(merged["jump_sizes"])
+        rate=_config_float(merged, "jump_rate"),
+        size_law=_size_law(_config_object(merged, "jump_sizes", None)),
     )
     return diff, jumps
 
 
 def _prior_from(config: dict) -> InverseGammaParams:
-    raw = config.get("prior", {"shape": 1.0, "rate": 1.0})
+    raw = _config_object(config, "prior", {"shape": 1.0, "rate": 1.0})
     _check_keys(raw, _PRIOR_KEYS, "prior")
     return InverseGammaParams(shape=_config_float(raw, "shape"), rate=_config_float(raw, "rate"))
 
@@ -127,8 +127,18 @@ def _threshold_from(args, config: dict) -> ThresholdRule:
         return ThresholdRule.parse(raw)
     if isinstance(raw, dict):
         _check_keys(raw, {"kind", "value"}, "threshold")
-        return ThresholdRule(kind=str(raw["kind"]), value=_config_float(raw, "value"))
+        if not isinstance(raw.get("kind"), str):
+            raise ConfigurationError("config key 'kind' of 'threshold' must be a string")
+        return ThresholdRule(kind=raw["kind"], value=_config_float(raw, "value"))
     raise ConfigurationError(f"cannot interpret threshold {raw!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _config_int(config: dict, key: str, default):
@@ -136,7 +146,7 @@ def _config_int(config: dict, key: str, default):
     if key not in config:
         return default
     value = config[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigurationError(f"config key {key!r} must be an integer, got {value!r}")
     return value
 
@@ -149,9 +159,41 @@ def _config_float(config: dict, key: str, default=None) -> float:
             raise ConfigurationError(f"config key {key!r} is missing")
         return default
     value = config[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigurationError(f"config key {key!r} must be a number, got {value!r}")
     return float(value)
+
+
+def _config_list(config: dict, key: str, default=None, kind=float) -> tuple:
+    """The list ``config[key]`` as a tuple of ``kind`` (float or int), each
+    element held to the rule of :func:`_config_float` or :func:`_config_int`,
+    or ``default`` when the key is absent; with no default it is required."""
+    if key not in config:
+        if default is None:
+            raise ConfigurationError(f"config key {key!r} is missing")
+        return default
+    value = config[key]
+    valid = _is_int if kind is int else _is_number
+    if not isinstance(value, list) or not all(map(valid, value)):
+        what = "integers" if kind is int else "numbers"
+        raise ConfigurationError(f"config key {key!r} must be a list of {what}, got {value!r}")
+    return tuple(map(kind, value))
+
+
+def _config_bool(config: dict, key: str, default: bool = False) -> bool:
+    """The JSON boolean ``config[key]``, or ``default`` when the key is absent."""
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"config key {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _config_object(config: dict, key: str, default) -> dict:
+    """The JSON object ``config[key]``, or ``default`` when the key is absent."""
+    value = config.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
 
 
 def _nonnegative_seed(seed: int, source: str) -> int:
@@ -216,7 +258,7 @@ _SIMULATE_KEYS = {"model", "n", "seed", "out", "with_truth"}
 def cmd_simulate(args) -> int:
     config = _load_config(args.config, _SIMULATE_KEYS, "simulate config")
     if args.rate is not None or args.tau is not None:
-        model = dict(config.get("model", {}))
+        model = dict(_config_object(config, "model", {}))
         if args.rate is not None:
             model["jump_rate"] = args.rate
         if args.tau is not None:
@@ -226,11 +268,9 @@ def cmd_simulate(args) -> int:
     n = args.n if args.n is not None else _config_int(config, "n", 5000)
     seed = _resolve_seed(args.seed, config)
     out = _resolve_out(args.out, config)
-    with_truth = args.with_truth or bool(config.get("with_truth", False))
+    with_truth = args.with_truth or _config_bool(config, "with_truth")
     path = simulate_path(diff, jumps, n, seed=seed)
-    buf = io.StringIO()
-    write_increments_csv(buf, path, with_truth=with_truth)
-    _write_text(out, buf.getvalue())
+    write_increments_csv(sys.stdout if out == "-" else out, path, with_truth=with_truth)
     return 0
 
 
@@ -254,7 +294,7 @@ def cmd_infer(args) -> int:
     rule = _threshold_from(args, config)
     prior = _prior_from(config)
     level = args.level if args.level is not None else _config_float(config, "level", 0.95)
-    truncate = args.truncate_positive or bool(config.get("truncate_positive", False))
+    truncate = args.truncate_positive or _config_bool(config, "truncate_positive")
     density_grid = args.density_grid
     if density_grid is None:
         density_grid = _config_int(config, "density_grid", None)
@@ -325,9 +365,9 @@ def cmd_coverage(args) -> int:
     workers = args.workers if args.workers is not None else _config_int(config, "workers", 1)
     coverage_config = CoverageConfig(
         diffusion=diff,
-        lambda_grid=tuple(config.get("lambda_grid", (4.0, 8.0, 16.0, 32.0))),
-        tau_grid=tuple(config.get("tau_grid", (1.0, 2.0, 4.0, 8.0))),
-        n_grid=tuple(config.get("n_grid", (5000,))),
+        lambda_grid=_config_list(config, "lambda_grid", (4.0, 8.0, 16.0, 32.0)),
+        tau_grid=_config_list(config, "tau_grid", (1.0, 2.0, 4.0, 8.0)),
+        n_grid=_config_list(config, "n_grid", (5000,), int),
         reps=reps,
         level=args.level if args.level is not None else _config_float(config, "level", 0.95),
         threshold=_threshold_from(args, config),
@@ -367,7 +407,7 @@ def cmd_diag(args) -> int:
     seed = _resolve_seed(args.seed, config)
     if sub == "bvm":
         diff, jumps = _model_from(config)
-        n_grid = tuple(config.get("n_grid", (1000, 4000, 16000)))
+        n_grid = _config_list(config, "n_grid", (1000, 4000, 16000), int)
         reps = args.reps if args.reps is not None else _config_int(config, "reps", 200)
         rows = bvm_convergence_check(
             diff,
@@ -387,7 +427,7 @@ def cmd_diag(args) -> int:
 
     if sub == "qvrate":
         diff, jumps = _model_from(config)
-        n_grid = tuple(config.get("n_grid", (1000, 4000, 16000)))
+        n_grid = _config_list(config, "n_grid", (1000, 4000, 16000), int)
         reps = args.reps if args.reps is not None else _config_int(config, "reps", 500)
         result = qv_error_rate(
             diff, jumps, n_grid, reps, seed, threshold=_threshold_from(args, config)

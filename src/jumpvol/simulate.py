@@ -316,27 +316,37 @@ def simulate_path(
 # CSV serialization
 # ---------------------------------------------------------------------------
 
+#: Rows formatted per ``write`` call: enough to amortise the joins, while one
+#: chunk of text stays a few MB.
+_WRITE_CHUNK_ROWS = 65536
+#: A ``t_i`` column must lie on ``i * t_n / n`` within this fraction of a step.
+_GRID_RTOL = 1e-6
+#: Rows per ``np.loadtxt`` call while the error path looks for the bad row.
+_RESCAN_BLOCK_ROWS = 4096
+
+
 def write_increments_csv(file, path: SamplePath, with_truth: bool = False) -> None:
-    """Write a path as ``index,t_i,D_i[,mu_i]`` rows.
+    """Write a path as ``index,t_i,D_i[,mu_i]`` rows, with ``t_i = i * delta``.
 
     Floats are formatted with ``repr`` so the file round-trips exactly.
     ``with_truth`` adds the ``mu_i`` column and requires truth to be present.
+    Rows are formatted a column at a time and written in chunks of
+    ``_WRITE_CHUNK_ROWS``, so no copy of the whole text is built.
     """
     if with_truth and path.truth is None:
         raise ConfigurationError("path carries no truth; cannot write mu_i column")
+    columns = [path.increments, path.truth.mu] if with_truth else [path.increments]
     own = isinstance(file, (str, Path))
     handle = open(file, "w", newline="") if own else file
     try:
-        header = "index,t_i,D_i,mu_i" if with_truth else "index,t_i,D_i"
-        handle.write(header + "\n")
-        d = path.increments
-        mu = path.truth.mu if with_truth else None
-        for i in range(path.n):
-            t_i = (i + 1) * path.delta
-            row = f"{i + 1},{t_i!r},{float(d[i])!r}"
-            if with_truth:
-                row += f",{float(mu[i])!r}"
-            handle.write(row + "\n")
+        handle.write("index,t_i,D_i,mu_i\n" if with_truth else "index,t_i,D_i\n")
+        for start in range(0, path.n, _WRITE_CHUNK_ROWS):
+            stop = min(start + _WRITE_CHUNK_ROWS, path.n)
+            times = (np.arange(start + 1, stop + 1) * path.delta).tolist()
+            cells = [map(str, range(start + 1, stop + 1)), map(repr, times)]
+            cells.extend(map(repr, column[start:stop].tolist()) for column in columns)
+            handle.write("\n".join(map(",".join, zip(*cells))))
+            handle.write("\n")
     finally:
         if own:
             handle.close()
@@ -356,45 +366,134 @@ def read_increments_csv(file) -> IncrementData:
 
     A file with the standard header yields the horizon (the last ``t_i``) and
     the ``mu_i`` column when present.  A headerless file must be a single
-    column of raw increments.
+    column of raw increments.  Every cell must be a number (``nan`` and ``inf``
+    parse; the inference rejects them later).  An ``index`` column must read
+    1..n, and ``t_i`` must lie on the equally spaced grid ``i * t_n / n``
+    within ``1e-6`` of a step.  Empty lines are skipped.  A violation
+    raises :class:`ConfigurationError` naming the first bad 1-based data row.
     """
     own = isinstance(file, (str, Path))
-    handle = open(file, "r", newline="") if own else file
+    handle = open(file, "r") if own else file
     try:
-        rows = [row for row in csv.reader(handle) if row]
+        # the error path rereads the body, so a stream that cannot seek is
+        # buffered first
+        return _read_increments(handle if handle.seekable() else io.StringIO(handle.read()))
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"increments file cannot be decoded as text: {err}") from err
     finally:
         if own:
             handle.close()
-    if not rows:
+
+
+def _read_increments(handle) -> IncrementData:
+    start, first = _next_row(handle)
+    if not first:
         raise ConfigurationError("empty increments file")
-    first = rows[0]
+    header = [cell.strip() for cell in next(csv.reader([first]))]
     try:
-        float(first[0])
-        has_header = False
+        float(header[0])
+        names = ["D_i"]
+        body = start
     except ValueError:
-        has_header = True
-    if not has_header:
-        if any(len(row) != 1 for row in rows):
-            raise ConfigurationError("headerless increment files must have exactly one column")
-        values = np.array([float(row[0]) for row in rows])
-        return IncrementData(increments=values, horizon=None, mu=None)
-    names = [c.strip() for c in first]
-    allowed = {"index", "t_i", "D_i", "mu_i"}
-    unknown = set(names) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown columns in increments file: {sorted(unknown)}")
-    if "D_i" not in names:
-        raise ConfigurationError("increments file is missing the D_i column")
+        names = header
+        unknown = set(names) - {"index", "t_i", "D_i", "mu_i"}
+        if unknown:
+            raise ConfigurationError(f"unknown columns in increments file: {sorted(unknown)}")
+        if "D_i" not in names:
+            raise ConfigurationError("increments file is missing the D_i column")
+        body, row = _next_row(handle)
+        if not row:
+            raise ConfigurationError("increments file has a header but no rows")
+    handle.seek(body)
+    try:
+        table = _load(handle)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != len(names):
+        handle.seek(body)
+        raise _bad_row_error(handle.readlines(), names)
     cols = {name: i for i, name in enumerate(names)}
-    body = rows[1:]
-    if not body:
-        raise ConfigurationError("increments file has a header but no rows")
-    if any(len(row) != len(names) for row in body):
-        raise ConfigurationError("ragged rows in increments file")
-    increments = np.array([float(row[cols["D_i"]]) for row in body])
-    horizon = float(body[-1][cols["t_i"]]) if "t_i" in cols else None
-    mu = np.array([float(row[cols["mu_i"]]) for row in body]) if "mu_i" in cols else None
-    return IncrementData(increments=increments, horizon=horizon, mu=mu)
+    _check_grid(table, cols)
+    return IncrementData(
+        increments=np.ascontiguousarray(table[:, cols["D_i"]]),
+        horizon=float(table[-1, cols["t_i"]]) if "t_i" in cols else None,
+        mu=np.ascontiguousarray(table[:, cols["mu_i"]]) if "mu_i" in cols else None,
+    )
+
+
+def _next_row(handle) -> tuple[int, str]:
+    """The position and text of the next non-empty line ("" at the end)."""
+    while True:
+        pos = handle.tell()
+        line = handle.readline()
+        if not line or line.rstrip("\r\n"):
+            return pos, line
+
+
+def _load(source, usecols=None) -> np.ndarray:
+    """Parse CSV rows of numbers: one rule for the read and its rescan."""
+    return np.loadtxt(
+        source, delimiter=",", ndmin=2, comments=None, quotechar='"', usecols=usecols
+    )
+
+
+def _parses(lines: list[str], width: int, usecols=None) -> bool:
+    try:
+        return _load(lines, usecols).shape[1] == width
+    except ValueError:
+        return False
+
+
+def _bad_row_error(lines: list[str], names: list[str]) -> ConfigurationError:
+    """The error naming the first data row in ``lines`` that is not
+    ``len(names)`` numbers.  Blocks of rows are parsed first, so only the
+    block that fails is parsed row by row."""
+    rows = [line for line in lines if line.rstrip("\r\n")]
+    width = len(names)
+    for first in range(0, len(rows), _RESCAN_BLOCK_ROWS):
+        block = rows[first:first + _RESCAN_BLOCK_ROWS]
+        if _parses(block, width):
+            continue
+        for offset, line in enumerate(block):
+            if _parses([line], width):
+                continue
+            where = f"increments file row {first + offset + 1}"
+            cells = next(csv.reader([line]))
+            if len(cells) != width:
+                return ConfigurationError(
+                    f"{where} has {len(cells)} cells, expected {width} ({','.join(names)})"
+                )
+            bad = (f"{name} is not a number: {cell!r}" for j, (name, cell)
+                   in enumerate(zip(names, cells)) if not _parses([line], 1, usecols=j))
+            return ConfigurationError(f"{where}: {next(bad, f'cannot parse {line!r}')}")
+    return ConfigurationError("increments file does not parse as rows of numbers")
+
+
+def _check_grid(table: np.ndarray, cols: dict) -> None:
+    """Reject an ``index`` column that is not 1..n and a ``t_i`` column off
+    the equally spaced grid ``i * t_n / n``, naming the first bad row."""
+    n = len(table)
+    rows = np.arange(1, n + 1)
+    bad = []
+    if "index" in cols:
+        index = table[:, cols["index"]]
+        hits = np.flatnonzero(index != rows)
+        if hits.size:
+            i = hits[0]
+            bad.append((i, f"index is {float(index[i])!r}, expected {i + 1}"))
+    if "t_i" in cols:
+        times = table[:, cols["t_i"]]
+        step = times[-1] / n
+        grid = rows * step
+        with np.errstate(invalid="ignore"):
+            hits = np.flatnonzero(~(np.abs(times - grid) <= _GRID_RTOL * step))
+        if hits.size:
+            i = hits[0]
+            bad.append((i, f"t_i is {float(times[i])!r}, off the equally spaced grid "
+                           f"i * t_n / n = {float(grid[i])!r}"))
+    if bad:
+        i, reason = min(bad)
+        raise ConfigurationError(f"increments file row {i + 1}: {reason}")
 
 
 def increments_csv_text(path: SamplePath, with_truth: bool = False) -> str:

@@ -211,6 +211,37 @@ def test_non_integer_config_value_exits_2(command, key, value, tmp_path, capsys)
     ],
 )
 def test_non_numeric_float_config_value_exits_2(command, config, key, tmp_path, capsys):
+    code, err = _run_with_config(command, config, tmp_path, capsys)
+    assert code == 2
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        (["simulate"], {"model": 5}, "model"),
+        (["coverage"], {"prior": 5}, "prior"),
+        (["coverage"], {"lambda_grid": ["a"]}, "lambda_grid"),
+        (["coverage"], {"n_grid": 5000}, "n_grid"),
+        (
+            ["simulate"],
+            {"model": {"jump_sizes": {"kind": "table", "values": ["a"], "probs": [1.0]}}},
+            "values",
+        ),
+        (["simulate"], {"with_truth": "no"}, "with_truth"),
+        (["infer"], {"truncate_positive": "no"}, "truncate_positive"),
+    ],
+)
+def test_wrong_type_config_value_exits_2(command, config, key, tmp_path, capsys):
+    # object, list and boolean keys: before, these raised TypeError or
+    # ValueError, or a string "no" was read as true
+    code, err = _run_with_config(command, config, tmp_path, capsys)
+    assert code == 2
+    assert repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def _run_with_config(command, config, tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
     cfg = tmp_path / "cfg.json"
@@ -219,8 +250,7 @@ def test_non_numeric_float_config_value_exits_2(command, config, key, tmp_path, 
     if command == ["infer"]:
         args += ["--input", str(raw)]
     code, _, err = run_cli(args, capsys)
-    assert code == 2
-    assert repr(key) in err
+    return code, err
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +346,41 @@ def test_infer_non_finite_increment_names_row(tmp_path, capsys):
     code, out, err = run_cli(["infer", "--input", str(csv_path), "--out", "-"], capsys)
     assert code == 2
     assert "row 3" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1,0.5,0.1", "2,1.0,abc"], "row 2: D_i is not a number: 'abc'"),
+        (["1,0.5,0.1", "2,1.0,"], "row 2: D_i is not a number: ''"),
+        (["1,0.5,1_0", "2,1.0,0.2"], "row 1: D_i is not a number: '1_0'"),
+        (["1,0.5,0.1", "2,1.0"], "row 2 has 2 cells, expected 3"),
+        # empty lines are not rows
+        (["1,0.5,0.1", "", "2,1.0,0.2,7"], "row 2 has 4 cells, expected 3"),
+        # unequally spaced t_i with a gap in index
+        (["1,0.1,0.1", "2,0.7,-0.3", "3,0.8,0.2", "5,0.9,0.1", "6,1.0,0.4"], "row 1: t_i"),
+        (["1,0.2,0.1", "2,0.4,-0.3", "3,0.6,0.2", "5,0.8,0.1", "6,1.0,0.4"], "row 4: index"),
+        (["1,0.2,0.1", "2,0.4,-0.3", "3,0.6000003,0.2", "4,0.8,0.1", "5,1.0,0.4"], "row 3: t_i"),
+        (["1,0.2,0.1", "2,0.4,-0.3", "3,0.6,0.2", "4,0.8,0.1", "5,nan,0.4"], "row 1: t_i"),
+    ],
+)
+def test_infer_malformed_csv_names_row(rows, message, tmp_path, capsys):
+    csv_path = tmp_path / "path.csv"
+    csv_path.write_text("\n".join(["index,t_i,D_i"] + rows) + "\n")
+    code, out, err = run_cli(["infer", "--input", str(csv_path), "--out", "-"], capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_infer_undecodable_csv_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "path.csv"
+    csv_path.write_bytes(b"index,t_i,D_i\n1,0.5,0.1\n2,1.0,\xff\n")
+    code, out, err = run_cli(["infer", "--input", str(csv_path), "--out", "-"], capsys)
+    assert code == 2
+    # under a single-byte locale the byte decodes to a non-numeric cell
+    assert "decoded" in err or "row 2" in err
     assert out == ""
 
 
