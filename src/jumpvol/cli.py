@@ -5,19 +5,20 @@ rejected, all numeric output is written with round-trip-safe formatting, and
 every command is deterministic given (config, seed).  The ``JUMPVOL_SEED``
 environment variable overrides any configured seed.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O failure, 4 degenerate
-inference or a numeric routine that missed its tolerance (with a structured
-diagnostic JSON on stdout).
+Exit codes: 0 success, 2 configuration error, 3 I/O or memory failure, 4
+degenerate inference or a numeric routine that missed its tolerance (with a
+structured diagnostic JSON on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,27 +48,216 @@ DEFAULT_MODEL = {
     "jump_sizes": {"kind": "two_point", "tau": 3.0},
 }
 
-_MODEL_KEYS = {"beta", "theta_star", "horizon", "jump_rate", "jump_sizes"}
-_MODEL_BASE_KEYS = {"beta", "theta_star", "horizon"}
-_PRIOR_KEYS = {"shape", "rate"}
-_SIZE_KEYS = {
-    "two_point": {"kind", "tau"},
-    "fixed": {"kind", "value"},
-    "table": {"kind", "values", "probs"},
+
+# ---------------------------------------------------------------------------
+# Config schema
+#
+# A table maps each config key of a command (or of a nested object) to
+# ``(type, default)``.  A type is called as ``type(value, name)`` on a JSON
+# value or a flag and returns what the command uses, or raises a
+# ``ConfigurationError`` naming the key.  A default is already such a value;
+# ``_REQUIRED`` marks a key that must be given, and None one whose fallback
+# the command works out itself.
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _leaf(what: str, valid, convert=None):
+    def check(value, name: str):
+        if not valid(value):
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+_int = _leaf("an integer", _is_int)
+_nonnegative = _leaf("a nonnegative integer", lambda value: value >= 0)
+_float = _leaf("a number", _is_number, float)
+_bool = _leaf("true or false", lambda value: isinstance(value, bool))
+_str = _leaf("a string", lambda value: isinstance(value, str))
+_dict = _leaf("a JSON object", lambda value: isinstance(value, dict))
+_floats = _leaf(
+    "a list of numbers",
+    lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    lambda value: tuple(map(float, value)),
+)
+_ints = _leaf(
+    "a list of integers",
+    lambda value: isinstance(value, list) and all(map(_is_int, value)),
+    tuple,
+)
+
+
+def _seed(value, name: str) -> int:
+    return _nonnegative(_int(value, name), name)
+
+
+def _resolve(table: dict, config: dict, where: str, args=None) -> dict:
+    """Every key of ``table`` resolved as the flag ``args.<key>``, else
+    ``config[key]``, else the default.  Unknown keys are rejected, and a
+    config value is checked even when a flag overrides it."""
+    unknown = set(config) - set(table)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys in {where}: {sorted(unknown)}")
+    resolved = {}
+    for key, (kind, default) in table.items():
+        flag = getattr(args, key, None)
+        if key in config:
+            resolved[key] = kind(config[key], f"config key {key!r}")
+        if flag is not None:
+            resolved[key] = kind(flag, "--" + key.replace("_", "-"))
+        elif key not in config:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"config key {key!r} is missing")
+            resolved[key] = default
+    return resolved
+
+
+def _object(table: dict, build, where: str):
+    """A JSON object checked against ``table`` and passed to ``build``."""
+
+    def check(value, name: str):
+        return build(**_resolve(table, _dict(value, name), where))
+
+    return check
+
+
+_SIZE_LAWS = {
+    "two_point": _object({"tau": (_float, _REQUIRED)}, TwoPointSizes, "jump_sizes"),
+    "fixed": _object({"value": (_float, _REQUIRED)}, FixedSize, "jump_sizes"),
+    "table": _object(
+        {"values": (_floats, _REQUIRED), "probs": (_floats, _REQUIRED)}, SizeTable, "jump_sizes"
+    ),
 }
 
 
-# ---------------------------------------------------------------------------
-# Config plumbing
-# ---------------------------------------------------------------------------
-
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown config keys in {where}: {sorted(unknown)}")
+def _size_law(value, name: str):
+    """A ``jump_sizes`` object: its ``kind`` picks the table of its other keys."""
+    kind = _dict(value, name).get("kind")
+    if not isinstance(kind, str) or kind not in _SIZE_LAWS:
+        raise ConfigurationError(f"unknown jump size law {kind!r} in 'jump_sizes'")
+    return _SIZE_LAWS[kind]({key: v for key, v in value.items() if key != "kind"}, name)
 
 
-def _load_config(path: str | None, allowed: set, where: str) -> dict:
+_threshold_object = _object(
+    {"kind": (_str, _REQUIRED), "value": (_float, _REQUIRED)}, ThresholdRule, "threshold"
+)
+
+
+def _threshold(value, name: str) -> ThresholdRule:
+    """A rule string such as ``iqr:5`` or a ``{"kind", "value"}`` object."""
+    if isinstance(value, str):
+        return ThresholdRule.parse(value)
+    if isinstance(value, dict):
+        return _threshold_object(value, name)
+    raise ConfigurationError(f"cannot interpret threshold {value!r}")
+
+
+def _specs(beta, theta_star, horizon, jump_rate, jump_sizes):
+    return DiffusionSpec(beta, theta_star, horizon), JumpSpec(jump_rate, jump_sizes)
+
+
+_DIFFUSION = {key: (_float, DEFAULT_MODEL[key]) for key in ("beta", "theta_star", "horizon")}
+_diffusion = _object(_DIFFUSION, DiffusionSpec, "model")
+_model = _object(
+    {
+        **_DIFFUSION,
+        "jump_rate": (_float, DEFAULT_MODEL["jump_rate"]),
+        "jump_sizes": (_size_law, _size_law(DEFAULT_MODEL["jump_sizes"], "jump_sizes")),
+    },
+    _specs,
+    "model",
+)
+_prior = _object(
+    {"shape": (_float, _REQUIRED), "rate": (_float, _REQUIRED)}, InverseGammaParams, "prior"
+)
+
+# entries shared by several commands
+_MODEL = (_model, _model({}, "model"))
+_PRIOR = (_prior, InverseGammaParams(1.0, 1.0))
+_THRESHOLD = (_threshold, ThresholdRule.iqr())
+_LEVEL = (_float, CoverageConfig.level)
+_SEED = (_seed, DEFAULT_SEED)
+_OUT = (_str, "-")
+
+_SCHEMAS = {
+    "simulate": {
+        "model": _MODEL,
+        "n": (_int, 5000),
+        "seed": _SEED,
+        "out": _OUT,
+        "with_truth": (_bool, False),
+    },
+    "infer": {
+        "input": (_str, "-"),
+        "out": _OUT,
+        "horizon": (_float, None),  # else the input's last t_i, else 1.0
+        "threshold": _THRESHOLD,
+        "prior": _PRIOR,
+        "level": _LEVEL,
+        "truncate_positive": (_bool, False),
+        "density_grid": (_int, None),
+        "density_out": (_str, None),
+    },
+    "coverage": {
+        "model": (_diffusion, _diffusion({}, "model")),
+        "lambda_grid": (_floats, CoverageConfig.lambda_grid),
+        "tau_grid": (_floats, CoverageConfig.tau_grid),
+        "n_grid": (_ints, CoverageConfig.n_grid),
+        "reps": (_int, CoverageConfig.reps),
+        "level": _LEVEL,
+        "threshold": _THRESHOLD,
+        "prior": _PRIOR,
+        "seed": _SEED,
+        "out": _OUT,
+        "workers": (_int, 1),
+    },
+    "diag bvm": {
+        "model": _MODEL,
+        "n_grid": (_ints, (1000, 4000, 16000)),
+        "reps": (_int, 200),
+        "prior": _PRIOR,
+        "threshold": _THRESHOLD,
+        "seed": _SEED,
+        "out": _OUT,
+    },
+    "diag sandwich": {
+        "theta_star": (_float, DEFAULT_MODEL["theta_star"]),
+        "jump_qv": (_float, 0.0),
+        "horizon": (_float, DEFAULT_MODEL["horizon"]),
+        "n": (_int, 5000),
+        "out": _OUT,
+    },
+    "diag mse": {
+        "model": _MODEL,
+        "n": (_int, 5000),
+        "reps": (_int, 4000),
+        "jumps_seed": (_seed, None),  # else seed + 1
+        "seed": _SEED,
+        "out": _OUT,
+    },
+    "diag qvrate": {
+        "model": _MODEL,
+        "n_grid": (_ints, (1000, 4000, 16000)),
+        "reps": (_int, 500),
+        "threshold": _THRESHOLD,
+        "seed": _SEED,
+        "out": _OUT,
+    },
+}
+
+
+def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
@@ -79,156 +269,31 @@ def _load_config(path: str | None, allowed: set, where: str) -> dict:
         raise ConfigurationError(f"invalid JSON in {path}: {err}") from err
     if not isinstance(config, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
-    _check_keys(config, allowed, where)
     return config
 
 
-def _size_law(spec: dict):
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _SIZE_KEYS:
-        raise ConfigurationError(f"unknown jump size law {kind!r} in 'jump_sizes'")
-    _check_keys(spec, _SIZE_KEYS[kind], "jump_sizes")
-    if kind == "two_point":
-        return TwoPointSizes(_config_float(spec, "tau"))
-    if kind == "fixed":
-        return FixedSize(_config_float(spec, "value"))
-    return SizeTable(_config_list(spec, "values"), _config_list(spec, "probs"))
-
-
-def _model_from(config: dict, with_jumps: bool = True):
-    model = _config_object(config, "model", {})
-    merged = dict(DEFAULT_MODEL)
-    merged.update(model)
-    _check_keys(merged, _MODEL_KEYS, "model")
-    diff = DiffusionSpec(
-        beta=_config_float(merged, "beta"),
-        theta_star=_config_float(merged, "theta_star"),
-        horizon=_config_float(merged, "horizon"),
-    )
-    if not with_jumps:
-        _check_keys(model, _MODEL_BASE_KEYS, "model")
-        return diff, None
-    jumps = JumpSpec(
-        rate=_config_float(merged, "jump_rate"),
-        size_law=_size_law(_config_object(merged, "jump_sizes", None)),
-    )
-    return diff, jumps
-
-
-def _prior_from(config: dict) -> InverseGammaParams:
-    raw = _config_object(config, "prior", {"shape": 1.0, "rate": 1.0})
-    _check_keys(raw, _PRIOR_KEYS, "prior")
-    return InverseGammaParams(shape=_config_float(raw, "shape"), rate=_config_float(raw, "rate"))
-
-
-def _threshold_from(args, config: dict) -> ThresholdRule:
-    raw = args.threshold if args.threshold is not None else config.get("threshold", "iqr:5")
-    if isinstance(raw, str):
-        return ThresholdRule.parse(raw)
-    if isinstance(raw, dict):
-        _check_keys(raw, {"kind", "value"}, "threshold")
-        if not isinstance(raw.get("kind"), str):
-            raise ConfigurationError("config key 'kind' of 'threshold' must be a string")
-        return ThresholdRule(kind=raw["kind"], value=_config_float(raw, "value"))
-    raise ConfigurationError(f"cannot interpret threshold {raw!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _config_int(config: dict, key: str, default):
-    """The integer ``config[key]``, or ``default`` when the key is absent."""
-    if key not in config:
-        return default
-    value = config[key]
-    if not _is_int(value):
-        raise ConfigurationError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _config_float(config: dict, key: str, default=None) -> float:
-    """The number ``config[key]`` as a float, or ``default`` when the key is
-    absent; with no default the key is required."""
-    if key not in config:
-        if default is None:
-            raise ConfigurationError(f"config key {key!r} is missing")
-        return default
-    value = config[key]
-    if not _is_number(value):
-        raise ConfigurationError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _config_list(config: dict, key: str, default=None, kind=float) -> tuple:
-    """The list ``config[key]`` as a tuple of ``kind`` (float or int), each
-    element held to the rule of :func:`_config_float` or :func:`_config_int`,
-    or ``default`` when the key is absent; with no default it is required."""
-    if key not in config:
-        if default is None:
-            raise ConfigurationError(f"config key {key!r} is missing")
-        return default
-    value = config[key]
-    valid = _is_int if kind is int else _is_number
-    if not isinstance(value, list) or not all(map(valid, value)):
-        what = "integers" if kind is int else "numbers"
-        raise ConfigurationError(f"config key {key!r} must be a list of {what}, got {value!r}")
-    return tuple(map(kind, value))
-
-
-def _config_bool(config: dict, key: str, default: bool = False) -> bool:
-    """The JSON boolean ``config[key]``, or ``default`` when the key is absent."""
-    value = config.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"config key {key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _config_object(config: dict, key: str, default) -> dict:
-    """The JSON object ``config[key]``, or ``default`` when the key is absent."""
-    value = config.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def _nonnegative_seed(seed: int, source: str) -> int:
-    if seed < 0:
-        raise ConfigurationError(f"{source} must be a nonnegative integer, got {seed}")
-    return seed
-
-
-def _resolve_seed(flag_seed, config: dict) -> int:
+def _configure(args) -> SimpleNamespace:
+    """The command's settings from its table, its flags and ``--config``.
+    A seed comes from ``JUMPVOL_SEED``, else ``--seed``, else the config,
+    else ``DEFAULT_SEED``."""
+    command = f"diag {args.diag_command}" if args.command == "diag" else args.command
+    settings = _resolve(_SCHEMAS[command], _load_config(args.config), f"{command} config", args)
     env = os.environ.get("JUMPVOL_SEED")
-    if env is not None:
+    if "seed" in settings and env is not None:
         try:
             seed = int(env)
         except ValueError as err:
             raise ConfigurationError(f"JUMPVOL_SEED must be an integer, got {env!r}") from err
-        return _nonnegative_seed(seed, "JUMPVOL_SEED")
-    if flag_seed is not None:
-        return _nonnegative_seed(flag_seed, "--seed")
-    return _nonnegative_seed(_config_int(config, "seed", DEFAULT_SEED), "config key 'seed'")
+        settings["seed"] = _seed(seed, "JUMPVOL_SEED")
+    return SimpleNamespace(**settings)
 
 
-def _resolve_out(flag_out, config: dict, key: str = "out") -> str:
-    out = flag_out if flag_out is not None else config.get(key, "-")
+def _check_out(out: str) -> str:
     if out != "-":
         parent = Path(out).resolve().parent
         if not parent.is_dir():
             raise ConfigurationError(f"output directory does not exist: {parent}")
     return out
-
-
-def _resolve_input(flag_input, config: dict) -> str:
-    source = flag_input if flag_input is not None else config.get("input", "-")
-    if source != "-" and not Path(source).is_file():
-        raise ConfigurationError(f"input file not found: {source}")
-    return source
 
 
 def _write_text(out: str, text: str) -> None:
@@ -252,67 +317,40 @@ def _diag_csv(rows) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-_SIMULATE_KEYS = {"model", "n", "seed", "out", "with_truth"}
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config, _SIMULATE_KEYS, "simulate config")
-    if args.rate is not None or args.tau is not None:
-        model = dict(_config_object(config, "model", {}))
-        if args.rate is not None:
-            model["jump_rate"] = args.rate
-        if args.tau is not None:
-            model["jump_sizes"] = {"kind": "two_point", "tau": args.tau}
-        config["model"] = model
-    diff, jumps = _model_from(config)
-    n = args.n if args.n is not None else _config_int(config, "n", 5000)
-    seed = _resolve_seed(args.seed, config)
-    out = _resolve_out(args.out, config)
-    with_truth = args.with_truth or _config_bool(config, "with_truth")
-    path = simulate_path(diff, jumps, n, seed=seed)
-    write_increments_csv(sys.stdout if out == "-" else out, path, with_truth=with_truth)
+    cfg = _configure(args)
+    diff, jumps = cfg.model
+    if args.rate is not None:
+        jumps = replace(jumps, rate=args.rate)
+    if args.tau is not None:
+        jumps = replace(jumps, size_law=TwoPointSizes(args.tau))
+    out = _check_out(cfg.out)
+    path = simulate_path(diff, jumps, cfg.n, seed=cfg.seed)
+    write_increments_csv(sys.stdout if out == "-" else out, path, with_truth=cfg.with_truth)
     return 0
 
 
-_INFER_KEYS = {
-    "input",
-    "out",
-    "horizon",
-    "threshold",
-    "prior",
-    "level",
-    "truncate_positive",
-    "density_grid",
-    "density_out",
-}
-
-
 def cmd_infer(args) -> int:
-    config = _load_config(args.config, _INFER_KEYS, "infer config")
-    source = _resolve_input(args.input, config)
-    out = _resolve_out(args.out, config)
-    rule = _threshold_from(args, config)
-    prior = _prior_from(config)
-    level = args.level if args.level is not None else _config_float(config, "level", 0.95)
-    truncate = args.truncate_positive or _config_bool(config, "truncate_positive")
-    density_grid = args.density_grid
-    if density_grid is None:
-        density_grid = _config_int(config, "density_grid", None)
-    density_out = args.density_out if args.density_out is not None else config.get("density_out")
+    cfg = _configure(args)
+    if cfg.input != "-" and not Path(cfg.input).is_file():
+        raise ConfigurationError(f"input file not found: {cfg.input}")
+    out = _check_out(cfg.out)
+    density_grid = cfg.density_grid
+    if density_grid is not None:
+        if density_grid < 2:
+            raise ConfigurationError(f"density grid needs at least 2 points, got {density_grid}")
+        if cfg.density_out is None:
+            raise ConfigurationError("density output path required when density_grid is set")
+        _check_out(cfg.density_out)
 
-    data = read_increments_csv(sys.stdin if source == "-" else source)
-    if args.horizon is not None:
-        horizon = args.horizon
-    elif "horizon" in config:
-        horizon = _config_float(config, "horizon")
-    elif data.horizon is not None:
-        horizon = data.horizon
-    else:
-        horizon = 1.0
+    data = read_increments_csv(sys.stdin if cfg.input == "-" else cfg.input)
+    horizon = cfg.horizon
+    if horizon is None:
+        horizon = data.horizon if data.horizon is not None else 1.0
 
-    inf = infer_increments(data.increments, horizon, rule, prior)
-    dist = inf.modified.truncated_positive() if truncate else inf.modified
-    interval = credible_interval(dist, level)
+    inf = infer_increments(data.increments, horizon, cfg.threshold, cfg.prior)
+    dist = inf.modified.truncated_positive() if cfg.truncate_positive else inf.modified
+    interval = credible_interval(dist, cfg.level)
     approx = bvm_normal(inf.theta_hat, inf.qv, horizon, inf.n)
     post = inf.posterior
     record = {
@@ -321,102 +359,61 @@ def cmd_infer(args) -> int:
         "eta": inf.qv.eta,
         "kappa": inf.kappa,
         "posterior": {"shape": post.ig.shape, "rate": post.ig.rate, "shift": inf.modified.shift},
-        "interval": {"level": level, "lo": interval.lo, "hi": interval.hi},
+        "interval": {"level": cfg.level, "lo": interval.lo, "hi": interval.hi},
         "bvm": {"mean": approx.mean, "variance": approx.variance},
     }
     _write_text(out, json.dumps(record, indent=2) + "\n")
 
     if density_grid is not None:
-        if density_grid < 2:
-            raise ConfigurationError(f"density grid needs at least 2 points, got {density_grid}")
-        if density_out is None:
-            raise ConfigurationError("density output path required when density_grid is set")
-        _resolve_out(density_out, {}, key="out")
         # grid spans the central 99.9% posterior mass
         grid = np.linspace(dist.ppf(0.0005), dist.ppf(0.9995), density_grid)
         density = dist.pdf(grid)
         lines = ["theta,density"]
         lines.extend(f"{float(t)!r},{float(p)!r}" for t, p in zip(grid, density))
-        _write_text(density_out, "\n".join(lines) + "\n")
+        _write_text(cfg.density_out, "\n".join(lines) + "\n")
     return 0
-
-
-_COVERAGE_KEYS = {
-    "model",
-    "lambda_grid",
-    "tau_grid",
-    "n_grid",
-    "reps",
-    "level",
-    "threshold",
-    "prior",
-    "seed",
-    "out",
-    "workers",
-}
 
 
 def cmd_coverage(args) -> int:
-    config = _load_config(args.config, _COVERAGE_KEYS, "coverage config")
-    diff, _ = _model_from(config, with_jumps=False)
-    seed = _resolve_seed(args.seed, config)
-    out = _resolve_out(args.out, config)
-    reps = args.reps if args.reps is not None else _config_int(config, "reps", 1000)
-    workers = args.workers if args.workers is not None else _config_int(config, "workers", 1)
+    cfg = _configure(args)
+    out = _check_out(cfg.out)
     coverage_config = CoverageConfig(
-        diffusion=diff,
-        lambda_grid=_config_list(config, "lambda_grid", (4.0, 8.0, 16.0, 32.0)),
-        tau_grid=_config_list(config, "tau_grid", (1.0, 2.0, 4.0, 8.0)),
-        n_grid=_config_list(config, "n_grid", (5000,), int),
-        reps=reps,
-        level=args.level if args.level is not None else _config_float(config, "level", 0.95),
-        threshold=_threshold_from(args, config),
-        prior=_prior_from(config),
-        base_seed=seed,
+        diffusion=cfg.model,
+        lambda_grid=cfg.lambda_grid,
+        tau_grid=cfg.tau_grid,
+        n_grid=cfg.n_grid,
+        reps=cfg.reps,
+        level=cfg.level,
+        threshold=cfg.threshold,
+        prior=cfg.prior,
+        base_seed=cfg.seed,
     )
-    rows = run_coverage(coverage_config, workers=workers)
-    buf = io.StringIO()
-    write_coverage_csv(buf, rows)
-    _write_text(out, buf.getvalue())
+    rows = run_coverage(coverage_config, workers=cfg.workers)
+    write_coverage_csv(sys.stdout if out == "-" else out, rows)
     return 0
-
-
-_DIAG_KEYS = {
-    "bvm": {"model", "n_grid", "reps", "prior", "threshold", "seed", "out"},
-    "sandwich": {"theta_star", "jump_qv", "horizon", "n", "out"},
-    "mse": {"model", "n", "reps", "jumps_seed", "seed", "out"},
-    "qvrate": {"model", "n_grid", "reps", "threshold", "seed", "out"},
-}
 
 
 def cmd_diag(args) -> int:
     sub = args.diag_command
-    config = _load_config(args.config, _DIAG_KEYS[sub], f"diag {sub} config")
-    out = _resolve_out(args.out, config)
+    cfg = _configure(args)
+    out = _check_out(cfg.out)
 
     if sub == "sandwich":
-        theta_star = _config_float(config, "theta_star", DEFAULT_MODEL["theta_star"])
-        jump_qv = _config_float(config, "jump_qv", 0.0)
-        horizon = _config_float(config, "horizon", DEFAULT_MODEL["horizon"])
-        n = args.n if args.n is not None else _config_int(config, "n", 5000)
-        truth = TruthSummary.from_values(theta_star, jump_qv, horizon)
-        value = sandwich_variance(truth, horizon, n)
-        _write_text(out, _diag_csv([(n, "sandwich_variance", value, None)]))
+        truth = TruthSummary.from_values(cfg.theta_star, cfg.jump_qv, cfg.horizon)
+        value = sandwich_variance(truth, cfg.horizon, cfg.n)
+        _write_text(out, _diag_csv([(cfg.n, "sandwich_variance", value, None)]))
         return 0
 
-    seed = _resolve_seed(args.seed, config)
+    diff, jumps = cfg.model
     if sub == "bvm":
-        diff, jumps = _model_from(config)
-        n_grid = _config_list(config, "n_grid", (1000, 4000, 16000), int)
-        reps = args.reps if args.reps is not None else _config_int(config, "reps", 200)
         rows = bvm_convergence_check(
             diff,
             jumps,
-            n_grid,
-            reps,
-            seed,
-            prior=_prior_from(config),
-            threshold=_threshold_from(args, config),
+            cfg.n_grid,
+            cfg.reps,
+            cfg.seed,
+            prior=cfg.prior,
+            threshold=cfg.threshold,
         )
         table = []
         for row in rows:
@@ -426,11 +423,8 @@ def cmd_diag(args) -> int:
         return 0
 
     if sub == "qvrate":
-        diff, jumps = _model_from(config)
-        n_grid = _config_list(config, "n_grid", (1000, 4000, 16000), int)
-        reps = args.reps if args.reps is not None else _config_int(config, "reps", 500)
         result = qv_error_rate(
-            diff, jumps, n_grid, reps, seed, threshold=_threshold_from(args, config)
+            diff, jumps, cfg.n_grid, cfg.reps, cfg.seed, threshold=cfg.threshold
         )
         table = [
             (n, "qv_mae", mae, stderr)
@@ -441,14 +435,10 @@ def cmd_diag(args) -> int:
         return 0
 
     # mse: one fixed jump realization, diffusion redrawn per replication
-    diff, jumps = _model_from(config)
-    n = args.n if args.n is not None else _config_int(config, "n", 5000)
-    reps = args.reps if args.reps is not None else _config_int(config, "reps", 4000)
-    jumps_seed = _nonnegative_seed(
-        _config_int(config, "jumps_seed", seed + 1), "config key 'jumps_seed'"
-    )
+    n = cfg.n
+    jumps_seed = cfg.jumps_seed if cfg.jumps_seed is not None else cfg.seed + 1
     fixed = simulate_jumps(jumps, diff.horizon, seed=jumps_seed)
-    result = mse_oracle(diff, fixed, n, reps, seed)
+    result = mse_oracle(diff, fixed, n, cfg.reps, cfg.seed)
     table = [
         (n, "theta_dagger", result.theta_dagger, None),
         (n, "empirical_mse", result.empirical_mse, result.empirical_mse_stderr),
@@ -473,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag left unset is None, so the config value or the default applies
     sim = sub.add_parser("simulate", help="simulate increments and write them as CSV")
     sim.add_argument("--config", help="JSON config file")
     sim.add_argument("--out", help="output CSV path, or - for stdout")
@@ -480,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="RNG seed")
     sim.add_argument("--rate", type=float, help="jumps per unit time")
     sim.add_argument("--tau", type=float, help="two-point jump magnitude")
-    sim.add_argument("--with-truth", action="store_true", help="include the mu_i column")
+    sim.add_argument(
+        "--with-truth", action="store_true", default=None, help="include the mu_i column"
+    )
     sim.set_defaults(func=cmd_simulate)
 
     inf = sub.add_parser("infer", help="run the inference pipeline on an increments CSV")
@@ -493,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument(
         "--truncate-positive",
         action="store_true",
+        default=None,
         help="clip the shifted posterior to (0, inf) and renormalize",
     )
     inf.add_argument("--density-grid", type=int, help="emit this many (theta, density) rows")
@@ -542,6 +536,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as err:
         print(f"jumpvol: I/O error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"jumpvol: out of memory: {err}", file=sys.stderr)
         return 3
 
 

@@ -79,6 +79,8 @@ class TruthSummary:
             raise ConfigurationError(f"theta_star must be positive, got {theta_star}")
         if jump_qv < 0:
             raise ConfigurationError(f"jump_qv must be nonnegative, got {jump_qv}")
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise ConfigurationError(f"horizon must be positive, got {horizon}")
         dagger = theta_star + jump_qv / horizon
         return cls(
             theta_star=theta_star,

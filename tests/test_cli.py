@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpvol import (
     InverseGammaParams,
@@ -23,7 +29,7 @@ from jumpvol import (
     JumpSpec,
     NumericError,
 )
-from jumpvol.cli import main
+from jumpvol.cli import _SCHEMAS, main
 
 
 @pytest.fixture(autouse=True)
@@ -230,11 +236,18 @@ def test_non_numeric_float_config_value_exits_2(command, config, key, tmp_path, 
         ),
         (["simulate"], {"with_truth": "no"}, "with_truth"),
         (["infer"], {"truncate_positive": "no"}, "truncate_positive"),
+        (["simulate"], {"out": 5}, "out"),
+        (["simulate"], {"out": []}, "out"),
+        (["infer"], {"input": 5}, "input"),
+        (["infer"], {"density_out": 5, "density_grid": 5}, "density_out"),
+        (["simulate", "--with-truth"], {"with_truth": "no"}, "with_truth"),
+        (["infer", "--truncate-positive"], {"truncate_positive": "x"}, "truncate_positive"),
     ],
 )
 def test_wrong_type_config_value_exits_2(command, config, key, tmp_path, capsys):
-    # object, list and boolean keys: before, these raised TypeError or
-    # ValueError, or a string "no" was read as true
+    # object, list, boolean and string keys: before, these raised TypeError or
+    # ValueError, or a string "no" was read as true; a config value is checked
+    # even when a flag overrides it
     code, err = _run_with_config(command, config, tmp_path, capsys)
     assert code == 2
     assert repr(key) in err
@@ -247,10 +260,187 @@ def _run_with_config(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     args = command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
-    if command == ["infer"]:
+    if command[0] == "infer":
         args += ["--input", str(raw)]
     code, _, err = run_cli(args, capsys)
     return code, err
+
+
+# Generated configs.  A key's own strategy draws values in its valid range, and
+# junk (small numbers, null, short strings, lists and objects) brings the wrong
+# types, nestings and out-of-range values.  Every size is drawn small (n and
+# n_grid entries <= 200, reps <= 3, workers <= 2, jump_rate <= 50,
+# density_grid <= 50, horizon <= 10), so no example allocates much memory or
+# starts more than two processes.  Junk strings use letters only, so an output
+# path stays in the working directory.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(-3.0, 3.0),
+    st.text(alphabet="ab", max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "kind"]), st.integers(0, 2), max_size=2),
+)
+
+
+def _object(fields, always=()):
+    """A JSON object with each field of ``fields`` drawn or left out (those in
+    ``always`` are always drawn); now and then a field is replaced by junk
+    (wrong type, null or a wrong nesting) or an unknown key is added."""
+
+    @st.composite
+    def draw_object(draw):
+        obj = {
+            key: draw(value)
+            for key, value in fields.items()
+            if key in always or draw(st.booleans())
+        }
+        fault = draw(st.sampled_from(["none"] * 5 + ["junk", "unknown"]))
+        if fault == "junk":
+            obj[draw(st.sampled_from(sorted(fields)))] = draw(_JUNK)
+        elif fault == "unknown":
+            obj["unknown_key"] = draw(_JUNK)
+        return obj
+
+    return draw_object()
+
+
+_DIFFUSION = {
+    "beta": st.floats(-5.0, 5.0),
+    "theta_star": st.floats(0.1, 20.0),
+    "horizon": st.floats(0.1, 10.0),
+}
+_SIZE_LAW = st.one_of(
+    _object({"kind": st.just("two_point"), "tau": st.floats(0.1, 5.0)}, always=["kind", "tau"]),
+    _object({"kind": st.just("fixed"), "value": st.floats(0.1, 5.0)}, always=["kind", "value"]),
+    _object(
+        {
+            "kind": st.just("table"),
+            "values": st.lists(st.floats(0.1, 5.0), max_size=3),
+            "probs": st.sampled_from([[1.0], [0.5, 0.5], [0.2], []]),
+        },
+        always=["kind", "values", "probs"],
+    ),
+    st.sampled_from([{"kind": "zz"}, {"tau": 1.0}]),
+)
+_MODEL = _object({**_DIFFUSION, "jump_rate": st.floats(0.0, 50.0), "jump_sizes": _SIZE_LAW})
+_PRIOR = _object(
+    {"shape": st.floats(0.1, 10.0), "rate": st.floats(0.1, 10.0)}, always=["shape", "rate"]
+)
+_THRESHOLD = st.one_of(
+    st.sampled_from(["iqr", "iqr:5", "fixed:0.5", "fixed:inf", "iqr:0", "zz:1", "iqr:x"]),
+    _object(
+        {"kind": st.sampled_from(["iqr", "fixed", "zz"]), "value": st.floats(0.1, 10.0)},
+        always=["kind", "value"],
+    ),
+)
+_PATH = st.sampled_from(["-", "-", "out.csv", "missing/out.csv"])
+_SEED = st.integers(0, 2**64)
+_N = st.integers(2, 200)
+_N_GRID = st.one_of(
+    st.lists(st.integers(2, 200), min_size=1, max_size=4, unique=True).map(sorted),
+    st.just([10, 40, 160]),
+)
+_REPS = st.integers(1, 3)
+_LEVEL = st.floats(0.05, 0.99)
+
+_CONFIG_KEYS = {
+    "simulate": {
+        "model": _MODEL, "n": _N, "seed": _SEED, "out": _PATH, "with_truth": st.booleans()
+    },
+    "infer": {
+        "input": _PATH,
+        "out": _PATH,
+        "horizon": st.floats(0.1, 10.0),
+        "threshold": _THRESHOLD,
+        "prior": _PRIOR,
+        "level": _LEVEL,
+        "truncate_positive": st.booleans(),
+        "density_grid": st.integers(2, 50),
+        "density_out": _PATH,
+    },
+    "coverage": {
+        "model": _object(_DIFFUSION),
+        "lambda_grid": st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3),
+        "tau_grid": st.lists(st.floats(0.1, 5.0), min_size=1, max_size=3),
+        "n_grid": _N_GRID,
+        "reps": _REPS,
+        "level": _LEVEL,
+        "threshold": _THRESHOLD,
+        "prior": _PRIOR,
+        "seed": _SEED,
+        "out": _PATH,
+        "workers": st.integers(1, 2),
+    },
+    "diag bvm": {
+        "model": _MODEL, "n_grid": _N_GRID, "reps": _REPS, "prior": _PRIOR,
+        "threshold": _THRESHOLD, "seed": _SEED, "out": _PATH,
+    },
+    "diag sandwich": {
+        "theta_star": st.floats(0.1, 20.0), "jump_qv": st.floats(0.0, 20.0),
+        "horizon": st.floats(0.1, 10.0), "n": _N, "out": _PATH,
+    },
+    "diag mse": {
+        "model": _MODEL, "n": _N, "reps": _REPS, "jumps_seed": _SEED, "seed": _SEED,
+        "out": _PATH,
+    },
+    "diag qvrate": {
+        "model": _MODEL, "n_grid": _N_GRID, "reps": _REPS, "threshold": _THRESHOLD,
+        "seed": _SEED, "out": _PATH,
+    },
+}
+# left out, these would take their defaults, which make an example slow
+_SIZE_KEYS = ["n", "n_grid", "reps", "workers"]
+
+
+def test_generated_configs_cover_every_schema_key():
+    assert {name: set(keys) for name, keys in _CONFIG_KEYS.items()} == {
+        name: set(table) for name, table in _SCHEMAS.items()
+    }
+
+
+def test_readme_config_table_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config files", 1)[1].split("Nested objects", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            documented[cells[0].strip("`")] = set(cells[3].split(", "))
+    used = {}
+    for command, keys in _SCHEMAS.items():
+        for key in keys:
+            used.setdefault(key, set()).add(command)
+    assert documented == used
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=50,
+)
+@given(data=st.data())
+@pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
+def test_generated_config_exits_cleanly(command, data, tmp_path_factory):
+    keys = _CONFIG_KEYS[command]
+    config = data.draw(_object(keys, always=[key for key in _SIZE_KEYS if key in keys]))
+    work = tmp_path_factory.mktemp("config")
+    (work / "cfg.json").write_text(json.dumps(config))
+    args = command.split() + ["--config", "cfg.json"]
+    if command == "infer":
+        (work / "raw.csv").write_text("".join(f"{0.1 * (-1) ** i * i}\n" for i in range(1, 40)))
+        args += ["--input", "raw.csv"]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +607,26 @@ def test_infer_density_grid(tmp_path, capsys):
     assert values[0, 0] < values[-1, 0]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--density-grid", "1", "--density-out", "DIR/d.csv"], "at least 2 points"),
+        (["--density-grid", "5"], "density output path required"),
+        (["--density-grid", "5", "--density-out", "DIR/missing/d.csv"], "does not exist"),
+    ],
+)
+def test_infer_density_arguments_checked_before_output(flags, message, tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
+    out = tmp_path / "r.json"
+    flags = [flag.replace("DIR", str(tmp_path)) for flag in flags]
+    args = ["infer", "--input", str(raw), "--out", str(out)] + flags
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
 def test_infer_truncate_positive_changes_interval(tmp_path, capsys):
     # heavy shift with tiny data so real mass sits below zero
     raw = tmp_path / "raw.csv"
@@ -565,6 +775,17 @@ def test_numeric_error_exits_4(monkeypatch, capsys):
         "message": "quadrature error 2.00e-04 exceeds 1e-04",
     }
     assert "Traceback" not in err
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("jumpvol.cli.simulate_path", fail)
+    code, out, err = run_cli(["simulate", "--n", "10", "--out", "-"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "jumpvol: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_io_failure_exits_3(tmp_path, capsys):

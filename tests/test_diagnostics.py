@@ -52,6 +52,8 @@ def test_truth_summary_validation():
         TruthSummary.from_values(theta_star=-1.0, jump_qv=0.0, horizon=1.0)
     with pytest.raises(ConfigurationError):
         TruthSummary.from_values(theta_star=1.0, jump_qv=-2.0, horizon=1.0)
+    with pytest.raises(ConfigurationError, match="horizon"):
+        TruthSummary.from_values(theta_star=1.0, jump_qv=45.0, horizon=0.0)
 
 
 # ---------------------------------------------------------------------------
