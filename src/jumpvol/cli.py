@@ -22,7 +22,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diagnostics import TruthSummary, bvm_convergence_check, mse_oracle, sandwich_variance
+from .diagnostics import (
+    TruthSummary,
+    bvm_convergence_check,
+    mse_oracle,
+    qv_error_rate,
+    sandwich_variance,
+)
 from .errors import ConfigurationError, DegenerateInferenceError, NumericError
 from .harness import CoverageConfig, run_coverage, write_coverage_csv
 from .posterior import InverseGammaParams, bvm_normal, credible_interval, infer_increments
@@ -37,7 +43,7 @@ from .simulate import (
     simulate_path,
     write_increments_csv,
 )
-from .threshold import ThresholdRule, qv_error_rate
+from .threshold import ThresholdRule
 
 DEFAULT_SEED = 0
 DEFAULT_MODEL = {
@@ -504,16 +510,23 @@ def build_parser() -> argparse.ArgumentParser:
     cov.set_defaults(func=cmd_coverage)
 
     diag = sub.add_parser("diag", help="asymptotic-claim diagnostics")
-    diag.add_argument(
-        "diag_command", choices=("bvm", "sandwich", "mse", "qvrate"), help="diagnostic to run"
-    )
-    diag.add_argument("--config", help="JSON config file")
-    diag.add_argument("--out", help="output CSV path, or - for stdout")
-    diag.add_argument("--n", type=int, help="sample size (sandwich, mse)")
-    diag.add_argument("--reps", type=int, help="replications")
-    diag.add_argument("--seed", type=int, help="base seed")
-    diag.add_argument("--threshold", help="threshold rule (bvm, qvrate)")
     diag.set_defaults(func=cmd_diag)
+    diags = diag.add_subparsers(dest="diag_command", required=True)
+    for name, summary in (
+        ("bvm", "mean TV distance of the posteriors to their normal limits"),
+        ("sandwich", "sandwich variance of the jump-blind estimator"),
+        ("mse", "conditional Monte Carlo MSE of the jump-blind estimator"),
+        ("qvrate", "error rate of the thresholded jump QV estimator"),
+    ):
+        command = diags.add_parser(name, help=summary)
+        command.add_argument("--config", help="JSON config file")
+        command.add_argument("--out", help="output CSV path, or - for stdout")
+        keys = _SCHEMAS[f"diag {name}"]  # flags only for this diagnostic's own keys
+        for key, text in (("n", "sample size"), ("reps", "replications"), ("seed", "base seed")):
+            if key in keys:
+                command.add_argument("--" + key, type=int, help=text)
+        if "threshold" in keys:
+            command.add_argument("--threshold", help="threshold rule")
 
     return parser
 

@@ -5,29 +5,32 @@ Gauss–Legendre panels between quantiles of both densities, checked against
 the same rule on halved panels to 1e-4), Monte Carlo checks that the
 (corrected and uncorrected) posteriors approach their normal limits, the
 sandwich formula for the conditional variance of the jump-blind volatility
-estimator, and a conditional Monte Carlo oracle for its mean squared error
-around the biased target it actually estimates.
+estimator, a conditional Monte Carlo oracle for its mean squared error around
+the biased target it actually estimates, and the jump QV estimator's error rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .harness import replicate
 from .posterior import InverseGammaParams, NormalApprox, compute_mle, infer_increments
-from .seeds import derive_seed
 from .simulate import (
     DiffusionSpec,
     JumpRealization,
     JumpSpec,
+    PathTruth,
     SamplePath,
+    bin_jumps,
     simulate_path,
     simulate_path_given_jumps,
 )
-from .threshold import ThresholdRule
+from .threshold import ThresholdRule, estimate_jump_qv
 
 #: Tails are truncated where both densities fall below this fraction of
 #: their peaks.
@@ -100,6 +103,11 @@ class TruthSummary:
             horizon=path.horizon,
             jump_count=len(path.truth.jump_windows),
         )
+
+
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of ``values`` and its standard error."""
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +217,22 @@ class BvmRow:
     tv_modified_stderr: float
 
 
+def _bvm_distances(diff, jumps, prior, rule, n, seed) -> tuple[float, float]:
+    """TV distances of the tempered and shifted posteriors to their limits."""
+    path = simulate_path(diff, jumps, n, seed=seed)
+    truth = TruthSummary.from_path(diff, path)
+    inf = infer_increments(path.increments, path.horizon, rule, prior)
+    limit_tempered = NormalApprox(
+        mean=inf.theta_hat,
+        variance=2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
+    )
+    limit_modified = NormalApprox(
+        mean=inf.theta_hat - inf.modified.shift,
+        variance=2.0 * truth.theta_star**2 / n,
+    )
+    return tv_distance(inf.posterior, limit_tempered), tv_distance(inf.modified, limit_modified)
+
+
 def bvm_convergence_check(
     diff: DiffusionSpec,
     jumps: JumpSpec,
@@ -226,34 +250,11 @@ def bvm_convergence_check(
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
     prior = prior if prior is not None else InverseGammaParams(1.0, 1.0)
     rule = threshold if threshold is not None else ThresholdRule.iqr()
+    stat = partial(_bvm_distances, diff, jumps, prior, rule)
     rows = []
-    for cell, n in enumerate(grid):
-        tv_t = np.empty(reps)
-        tv_m = np.empty(reps)
-        for rep in range(reps):
-            path = simulate_path(diff, jumps, n, seed=derive_seed(seed, cell, rep))
-            truth = TruthSummary.from_path(diff, path)
-            inf = infer_increments(path.increments, path.horizon, rule, prior)
-            limit_tempered = NormalApprox(
-                mean=inf.theta_hat,
-                variance=2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
-            )
-            limit_modified = NormalApprox(
-                mean=inf.theta_hat - inf.modified.shift,
-                variance=2.0 * truth.theta_star**2 / n,
-            )
-            tv_t[rep] = tv_distance(inf.posterior, limit_tempered)
-            tv_m[rep] = tv_distance(inf.modified, limit_modified)
-        rows.append(
-            BvmRow(
-                n=n,
-                reps=reps,
-                tv_tempered=float(tv_t.mean()),
-                tv_tempered_stderr=float(tv_t.std(ddof=1) / math.sqrt(reps)),
-                tv_modified=float(tv_m.mean()),
-                tv_modified_stderr=float(tv_m.std(ddof=1) / math.sqrt(reps)),
-            )
-        )
+    for n, distances in zip(grid, replicate(stat, grid, reps, seed)):
+        tempered, modified = (_mean_and_stderr(np.array(tv)) for tv in zip(*distances))
+        rows.append(BvmRow(n, reps, *tempered, *modified))
     return rows
 
 
@@ -307,6 +308,10 @@ class MseOracleResult:
         return abs(self.empirical_mse - self.sandwich) / self.sandwich
 
 
+def _mle_given_jumps(diff, fixed_jumps, n, seed) -> float:
+    return compute_mle(simulate_path_given_jumps(diff, fixed_jumps, n, seed=seed))
+
+
 def mse_oracle(
     diff: DiffusionSpec,
     fixed_jumps: JumpRealization,
@@ -318,25 +323,77 @@ def mse_oracle(
     and measure how ``theta_hat`` scatters around ``theta_dagger``."""
     if reps < 1000:
         raise ConfigurationError(f"need at least 1000 replications, got {reps}")
-    estimates = np.empty(reps)
-    theta_dagger = None
-    for rep in range(reps):
-        path = simulate_path_given_jumps(diff, fixed_jumps, n, seed=derive_seed(seed, 0, rep))
-        if theta_dagger is None:
-            theta_dagger = diff.theta_star + path.truth.jump_qv / path.horizon
-            truth = TruthSummary.from_path(diff, path)
-            horizon = path.horizon
-        estimates[rep] = compute_mle(path)
-    sq = (estimates - theta_dagger) ** 2
-    centered = (estimates - estimates.mean()) ** 2
+    jump_truth = PathTruth(bin_jumps(fixed_jumps, n, diff.horizon)[0])
+    horizon = n * (diff.horizon / n)
+    truth = TruthSummary.from_values(
+        diff.theta_star, jump_truth.jump_qv, horizon, len(jump_truth.jump_windows)
+    )
+    (estimates,) = replicate(partial(_mle_given_jumps, diff, fixed_jumps), [n], reps, seed)
+    estimates = np.array(estimates)
+    mse, mse_stderr = _mean_and_stderr((estimates - truth.theta_dagger) ** 2)
+    _, variance_stderr = _mean_and_stderr((estimates - estimates.mean()) ** 2)
     return MseOracleResult(
         n=int(n),
         reps=int(reps),
-        theta_dagger=float(theta_dagger),
-        empirical_mse=float(sq.mean()),
-        empirical_mse_stderr=float(sq.std(ddof=1) / math.sqrt(reps)),
+        theta_dagger=float(truth.theta_dagger),
+        empirical_mse=mse,
+        empirical_mse_stderr=mse_stderr,
         empirical_variance=float(estimates.var(ddof=1)),
-        empirical_variance_stderr=float(centered.std(ddof=1) / math.sqrt(reps)),
-        product_form=2.0 * diff.theta_star * theta_dagger / n,
+        empirical_variance_stderr=variance_stderr,
+        product_form=2.0 * diff.theta_star * truth.theta_dagger / n,
         sandwich=sandwich_variance(truth, horizon, n),
     )
+
+
+# ---------------------------------------------------------------------------
+# Error rate of the jump QV estimator
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QvRateResult:
+    """Mean absolute estimation error by sample size, with the fitted slope
+    of log MAE against log n."""
+
+    n_grid: tuple[int, ...]
+    mae: tuple[float, ...]
+    mae_stderr: tuple[float, ...]
+    slope: float
+
+
+def _qv_error(diff, jumps, rule, n, seed) -> float:
+    """Absolute error of the thresholded jump QV estimate on one path."""
+    path = simulate_path(diff, jumps, n, seed=seed)
+    estimate = estimate_jump_qv(path.increments, rule.resolve(path.increments))
+    return abs(estimate.jump_qv_hat - path.truth.jump_qv)
+
+
+def qv_error_rate(
+    diff: DiffusionSpec,
+    jumps: JumpSpec,
+    n_grid,
+    reps: int,
+    seed: int,
+    threshold: ThresholdRule | None = None,
+) -> QvRateResult:
+    """Monte Carlo error-rate regression for the thresholded estimator.
+
+    For each sample size the mean absolute error ``E|hat - true|`` against
+    the simulator's truth is estimated over ``reps`` replications, and the
+    least-squares slope of log MAE on log n is returned.  If any MAE is zero
+    (e.g. no jumps at all) the slope is NaN.
+    """
+    grid = sorted({int(n) for n in n_grid})
+    if len(grid) < 3:
+        raise ConfigurationError("n_grid needs at least 3 distinct sample sizes")
+    if grid[-1] < 10 * grid[0]:
+        raise ConfigurationError("n_grid must span at least one decade")
+    if reps < 200:
+        raise ConfigurationError(f"need at least 200 replications, got {reps}")
+    rule = threshold if threshold is not None else ThresholdRule.iqr()
+    results = replicate(partial(_qv_error, diff, jumps, rule), grid, reps, seed)
+    mae, stderr = zip(*(_mean_and_stderr(np.array(errors)) for errors in results))
+    if min(mae) <= 0.0:
+        slope = math.nan
+    else:
+        slope = float(np.polyfit(np.log(grid), np.log(mae), 1)[0])
+    return QvRateResult(n_grid=tuple(grid), mae=mae, mae_stderr=stderr, slope=slope)

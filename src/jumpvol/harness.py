@@ -2,9 +2,9 @@
 
 Each grid cell runs many independent replications of the full pipeline
 (simulate, threshold, temper, shift, interval) and records how often the
-interval covers the true volatility.  Replication seeds are derived from
-``(base_seed, cell, rep)``, so results are bitwise reproducible and do not
-depend on worker count or scheduling.
+interval covers the true volatility.  Its loop, :func:`replicate`, also runs
+the Monte Carlo diagnostics; it derives seeds from ``(base_seed, cell, rep)``,
+so results are bitwise reproducible whatever the worker count.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice, product
 from pathlib import Path
 
 from .errors import ConfigurationError, DegenerateInferenceError
@@ -22,9 +24,8 @@ from .threshold import ThresholdRule
 
 COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerate_count"
 
-#: Replications per aggregation block.  Partial sums are formed per block and
-#: combined in block order, so floating-point totals do not depend on how
-#: blocks are scheduled across workers.
+#: Replications per task of :func:`replicate`.  Coverage sums its widths per
+#: block and then across blocks, in block order.
 _BLOCK = 256
 
 
@@ -106,12 +107,7 @@ class CoverageConfig:
 
     def cells(self) -> list[tuple[float, float, int]]:
         """Grid cells in their deterministic enumeration order."""
-        return [
-            (lam, tau, n)
-            for lam in self.lambda_grid
-            for tau in self.tau_grid
-            for n in self.n_grid
-        ]
+        return list(product(self.lambda_grid, self.tau_grid, self.n_grid))
 
 
 @dataclass(frozen=True)
@@ -133,24 +129,37 @@ class CoverageRow:
     degenerate_count: int
 
 
-def _coverage_block(args) -> tuple[int, int, int, float, int]:
-    config, cell_index, start, stop = args
-    lam, tau, n = config.cells()[cell_index]
-    jumps = JumpSpec.two_point(lam, tau)
-    covered = 0
-    width_sum = 0.0
-    degenerate = 0
-    for rep in range(start, stop):
-        seed = derive_seed(config.base_seed, cell_index, rep)
-        result = run_replication(
-            config.diffusion, jumps, n, config.prior, config.threshold, config.level, seed
-        )
-        if result.degenerate:
-            degenerate += 1
-        else:
-            covered += int(result.covered)
-            width_sum += result.width
-    return cell_index, start, covered, width_sum, degenerate
+def _run_block(task) -> list:
+    stat, cell, index, base_seed, block = task
+    return [stat(cell, derive_seed(base_seed, index, rep)) for rep in block]
+
+
+def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[list]:
+    """``stat(cells[index], derive_seed(base_seed, index, rep))`` for ``rep <
+    reps``, one list per cell in rep order.  Blocks of ``_BLOCK`` replications
+    run in turn or, for ``workers > 1``, in a process pool, for which ``stat``
+    and the cells must pickle; the results do not depend on the worker count."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    blocks = [range(start, min(start + _BLOCK, reps)) for start in range(0, reps, _BLOCK)]
+    tasks = [
+        (stat, cell, index, base_seed, block)
+        for index, cell in enumerate(cells)
+        for block in blocks
+    ]
+    if workers == 1:
+        results = map(_run_block, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = iter(list(pool.map(_run_block, tasks, chunksize=1)))
+    return [list(chain.from_iterable(islice(results, len(blocks)))) for _ in cells]
+
+
+def _coverage_outcome(cfg: CoverageConfig, cell, seed) -> tuple[bool, float] | None:
+    """Whether the interval covers the truth, and its width; None if degenerate.
+    ``cell`` holds the jump law and the sample size."""
+    result = run_replication(cfg.diffusion, *cell, cfg.prior, cfg.threshold, cfg.level, seed)
+    return None if result.degenerate else (result.covered, result.width)
 
 
 def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
@@ -159,31 +168,21 @@ def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
     ``workers`` only controls parallel execution of fixed-size replication
     blocks; the output is identical for any worker count.
     """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     cells = config.cells()
-    tasks = [
-        (config, cell_index, start, min(start + _BLOCK, config.reps))
-        for cell_index in range(len(cells))
-        for start in range(0, config.reps, _BLOCK)
-    ]
-    if workers == 1:
-        outputs = [_coverage_block(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_coverage_block, tasks, chunksize=1))
-    outputs.sort(key=lambda item: (item[0], item[1]))
+    stat = partial(_coverage_outcome, config)
+    jumps = [(JumpSpec.two_point(lam, tau), n) for lam, tau, n in cells]
+    results = replicate(stat, jumps, config.reps, config.base_seed, workers)
     rows = []
-    for cell_index, (lam, tau, n) in enumerate(cells):
-        covered = 0
-        width_sum = 0.0
-        degenerate = 0
-        for idx, _, block_covered, block_width, block_degenerate in outputs:
-            if idx == cell_index:
-                covered += block_covered
-                width_sum += block_width
-                degenerate += block_degenerate
+    for (lam, tau, n), outcomes in zip(cells, results):
+        degenerate = outcomes.count(None)
         effective = config.reps - degenerate
+        covered = sum(1 for outcome in outcomes if outcome and outcome[0])
+        width_sum = 0.0  # per block, then across blocks: this order fixes mean_width's bits
+        for start in range(0, config.reps, _BLOCK):
+            block_width = 0.0
+            for outcome in outcomes[start : start + _BLOCK]:
+                block_width += outcome[1] if outcome else 0.0
+            width_sum += block_width
         if effective > 0:
             coverage = covered / effective
             mean_width = width_sum / effective
@@ -191,16 +190,7 @@ def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
         else:
             coverage = mean_width = stderr = math.nan
         rows.append(
-            CoverageRow(
-                lam=lam,
-                tau=tau,
-                n=n,
-                reps=config.reps,
-                coverage=coverage,
-                mean_width=mean_width,
-                mc_stderr=stderr,
-                degenerate_count=degenerate,
-            )
+            CoverageRow(lam, tau, n, config.reps, coverage, mean_width, stderr, degenerate)
         )
     return rows
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sc
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -84,6 +83,7 @@ def _gammaincc_root(shape: float, q: float, y: float) -> float:
     """Root of ``Q(shape, t) = q`` in a bracket around the estimate ``y``,
     widened from a thousandth of the gamma law's spread until ``Q - q``
     changes sign across it."""
+    from scipy.optimize import brentq  # imported here: it is slow to load and rarely needed
 
     def excess(t: float) -> float:
         return float(sc.gammaincc(shape, t)) - q

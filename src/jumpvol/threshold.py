@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
-from .seeds import derive_seed
-from .simulate import DiffusionSpec, JumpSpec, simulate_path
 
 DEFAULT_IQR_MULTIPLIER = 5.0
 
@@ -116,57 +114,3 @@ def estimate_jump_qv(increments, eta: float) -> QvEstimate:
     flagged = tuple(int(i) for i in np.flatnonzero(mask) + 1)
     hat = float(np.sum(d[mask] ** 2))
     return QvEstimate(eta=float(eta), jump_qv_hat=hat, flagged=flagged)
-
-
-@dataclass(frozen=True)
-class QvRateResult:
-    """Mean absolute estimation error by sample size, with the fitted slope
-    of log MAE against log n."""
-
-    n_grid: tuple[int, ...]
-    mae: tuple[float, ...]
-    mae_stderr: tuple[float, ...]
-    slope: float
-
-
-def qv_error_rate(
-    diff: DiffusionSpec,
-    jumps: JumpSpec,
-    n_grid,
-    reps: int,
-    seed: int,
-    threshold: ThresholdRule | None = None,
-) -> QvRateResult:
-    """Monte Carlo error-rate regression for the thresholded estimator.
-
-    For each sample size the mean absolute error ``E|hat - true|`` against
-    the simulator's truth is estimated over ``reps`` replications, and the
-    least-squares slope of log MAE on log n is returned.  If any MAE is zero
-    (e.g. no jumps at all) the slope is NaN.
-    """
-    grid = sorted({int(n) for n in n_grid})
-    if len(grid) < 3:
-        raise ConfigurationError("n_grid needs at least 3 distinct sample sizes")
-    if grid[-1] < 10 * grid[0]:
-        raise ConfigurationError("n_grid must span at least one decade")
-    if reps < 200:
-        raise ConfigurationError(f"need at least 200 replications, got {reps}")
-    rule = threshold if threshold is not None else ThresholdRule.iqr()
-    mae = []
-    stderr = []
-    for cell, n in enumerate(grid):
-        errors = np.empty(reps)
-        for rep in range(reps):
-            path = simulate_path(diff, jumps, n, seed=derive_seed(seed, cell, rep))
-            eta = rule.resolve(path.increments)
-            estimate = estimate_jump_qv(path.increments, eta)
-            errors[rep] = abs(estimate.jump_qv_hat - path.truth.jump_qv)
-        mae.append(float(errors.mean()))
-        stderr.append(float(errors.std(ddof=1) / math.sqrt(reps)))
-    if min(mae) <= 0.0:
-        slope = math.nan
-    else:
-        slope = float(np.polyfit(np.log(grid), np.log(mae), 1)[0])
-    return QvRateResult(
-        n_grid=tuple(grid), mae=tuple(mae), mae_stderr=tuple(stderr), slope=slope
-    )

@@ -683,6 +683,27 @@ def test_coverage_rejects_jump_fields_in_model(tmp_path, capsys):
 # diag
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diag", "sandwich", "--seed", "3"],
+        ["diag", "sandwich", "--reps", "2"],
+        ["diag", "sandwich", "--threshold", "iqr"],
+        ["diag", "bvm", "--n", "10"],
+        ["diag", "qvrate", "--n", "10"],
+        ["diag", "mse", "--threshold", "iqr"],
+    ],
+)
+def test_diag_rejects_flags_of_other_diagnostics(args, capsys):
+    # each diagnostic takes only the flags of its own config keys
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", "-"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+
+
 def test_diag_sandwich_benchmark_value(capsys):
     code, out, _ = run_cli(["diag", "sandwich", "--n", "5000", "--out", "-"], capsys)
     assert code == 0
@@ -808,3 +829,14 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("index,t_i,D_i")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the root solver is imported only when a closed-form quantile misses
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jumpvol.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
