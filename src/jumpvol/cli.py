@@ -462,6 +462,14 @@ def cmd_diag(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+class _MisplacedDiagFlag(argparse.Action):
+    """A ``diag`` flag given before the diagnostic's name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        example = f"jumpvol diag bvm {option_string} ..."
+        raise argparse.ArgumentError(self, f"diag flags go after the subcommand, as in {example!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumpvol",
@@ -511,6 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("diag", help="asymptotic-claim diagnostics")
     diag.set_defaults(func=cmd_diag)
+    for flag in ("--config", "--out", "--n", "--reps", "--seed", "--threshold"):
+        diag.add_argument(
+            flag, action=_MisplacedDiagFlag, default=argparse.SUPPRESS, help=argparse.SUPPRESS
+        )
     diags = diag.add_subparsers(dest="diag_command", required=True)
     for name, summary in (
         ("bvm", "mean TV distance of the posteriors to their normal limits"),

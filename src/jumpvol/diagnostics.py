@@ -66,7 +66,6 @@ class TruthSummary:
     theta_dagger: float
     kappa_dagger: float
     jump_qv: float
-    jump_count: int
 
     def __post_init__(self):
         if self.theta_dagger < self.theta_star:
@@ -75,9 +74,7 @@ class TruthSummary:
             raise ConfigurationError(f"kappa_dagger must lie in (0, 1], got {self.kappa_dagger}")
 
     @classmethod
-    def from_values(
-        cls, theta_star: float, jump_qv: float, horizon: float, jump_count: int = 0
-    ) -> "TruthSummary":
+    def from_values(cls, theta_star: float, jump_qv: float, horizon: float) -> "TruthSummary":
         if not (np.isfinite(theta_star) and theta_star > 0):
             raise ConfigurationError(f"theta_star must be positive, got {theta_star}")
         if jump_qv < 0:
@@ -90,7 +87,6 @@ class TruthSummary:
             theta_dagger=dagger,
             kappa_dagger=(theta_star / dagger) ** 2,
             jump_qv=jump_qv,
-            jump_count=jump_count,
         )
 
     @classmethod
@@ -98,10 +94,7 @@ class TruthSummary:
         if path.truth is None:
             raise ConfigurationError("path carries no truth fields")
         return cls.from_values(
-            theta_star=diff.theta_star,
-            jump_qv=path.truth.jump_qv,
-            horizon=path.horizon,
-            jump_count=len(path.truth.jump_windows),
+            theta_star=diff.theta_star, jump_qv=path.truth.jump_qv, horizon=path.horizon
         )
 
 
@@ -325,9 +318,7 @@ def mse_oracle(
         raise ConfigurationError(f"need at least 1000 replications, got {reps}")
     jump_truth = PathTruth(bin_jumps(fixed_jumps, n, diff.horizon)[0])
     horizon = n * (diff.horizon / n)
-    truth = TruthSummary.from_values(
-        diff.theta_star, jump_truth.jump_qv, horizon, len(jump_truth.jump_windows)
-    )
+    truth = TruthSummary.from_values(diff.theta_star, jump_truth.jump_qv, horizon)
     (estimates,) = replicate(partial(_mle_given_jumps, diff, fixed_jumps), [n], reps, seed)
     estimates = np.array(estimates)
     mse, mse_stderr = _mean_and_stderr((estimates - truth.theta_dagger) ** 2)

@@ -20,14 +20,7 @@ class InsufficientDataError(ConfigurationError):
 
 class DegenerateInferenceError(JumpvolError):
     """Inference cannot proceed, e.g. the temperature fell below its floor
-    or the shifted center is nonpositive.
-
-    ``infer_increments`` sets ``theta_hat`` and ``qv`` (a ``QvEstimate``) to
-    the estimates it had computed before the failure; otherwise they are None.
-    """
-
-    theta_hat = None
-    qv = None
+    or the shifted center is nonpositive."""
 
 
 class DegenerateDataError(DegenerateInferenceError):

@@ -17,7 +17,7 @@ from itertools import chain, islice, product
 from pathlib import Path
 
 from .errors import ConfigurationError, DegenerateInferenceError
-from .posterior import CredibleInterval, InverseGammaParams, credible_interval, infer_increments
+from .posterior import InverseGammaParams, credible_interval, infer_increments
 from .seeds import derive_seed
 from .simulate import DiffusionSpec, JumpSpec, simulate_path
 from .threshold import ThresholdRule
@@ -27,57 +27,6 @@ COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerat
 #: Replications per task of :func:`replicate`.  Coverage sums its widths per
 #: block and then across blocks, in block order.
 _BLOCK = 256
-
-
-@dataclass(frozen=True)
-class ReplicationResult:
-    """Outcome of one replication; degenerate runs are flagged, not raised."""
-
-    theta_hat: float
-    jump_qv_hat: float
-    kappa: float | None
-    interval: CredibleInterval | None
-    covered: bool | None
-    width: float | None
-    degenerate: bool
-    degenerate_reason: str | None = None
-
-
-def run_replication(
-    diff: DiffusionSpec,
-    jumps: JumpSpec,
-    n: int,
-    prior: InverseGammaParams,
-    threshold: ThresholdRule,
-    level: float,
-    seed,
-) -> ReplicationResult:
-    """One full pass: simulate, detect jumps, build the corrected posterior,
-    and check whether the interval covers the true volatility."""
-    path = simulate_path(diff, jumps, n, seed=seed)
-    try:
-        inf = infer_increments(path.increments, path.horizon, threshold, prior)
-    except DegenerateInferenceError as err:
-        return ReplicationResult(
-            theta_hat=err.theta_hat,
-            jump_qv_hat=err.qv.jump_qv_hat,
-            kappa=None,
-            interval=None,
-            covered=None,
-            width=None,
-            degenerate=True,
-            degenerate_reason=str(err),
-        )
-    interval = credible_interval(inf.modified, level)
-    return ReplicationResult(
-        theta_hat=inf.theta_hat,
-        jump_qv_hat=inf.qv.jump_qv_hat,
-        kappa=inf.kappa,
-        interval=interval,
-        covered=interval.contains(diff.theta_star),
-        width=interval.width,
-        degenerate=False,
-    )
 
 
 @dataclass(frozen=True)
@@ -147,7 +96,8 @@ def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[
         for index, cell in enumerate(cells)
         for block in blocks
     ]
-    if workers == 1:
+    workers = min(workers, len(tasks))  # a pool starts all its workers at once
+    if workers <= 1:
         results = map(_run_block, tasks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -156,10 +106,18 @@ def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[
 
 
 def _coverage_outcome(cfg: CoverageConfig, cell, seed) -> tuple[bool, float] | None:
-    """Whether the interval covers the truth, and its width; None if degenerate.
-    ``cell`` holds the jump law and the sample size."""
-    result = run_replication(cfg.diffusion, *cell, cfg.prior, cfg.threshold, cfg.level, seed)
-    return None if result.degenerate else (result.covered, result.width)
+    """One replication: simulate, infer and check whether the interval covers
+    the true volatility.  Returns that and the interval's width, or None if
+    the inference is degenerate.  ``cell`` holds the jump law and the sample
+    size."""
+    jumps, n = cell
+    path = simulate_path(cfg.diffusion, jumps, n, seed=seed)
+    try:
+        inf = infer_increments(path.increments, path.horizon, cfg.threshold, cfg.prior)
+    except DegenerateInferenceError:
+        return None
+    interval = credible_interval(inf.modified, cfg.level)
+    return interval.contains(cfg.diffusion.theta_star), interval.width
 
 
 def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:

@@ -120,12 +120,9 @@ def _invgamma_ppf(q: float, shape: float, rate: float) -> float:
 
 @dataclass(frozen=True)
 class GibbsPosterior:
-    """Tempered conjugate posterior: an inverse-gamma law plus its context."""
+    """Tempered conjugate posterior: an inverse-gamma law."""
 
     ig: InverseGammaParams
-    kappa: float
-    n: int
-    theta_hat: float
 
     def pdf(self, x):
         return _invgamma_pdf(x, self.ig.shape, self.ig.rate)
@@ -324,7 +321,7 @@ def tempered_update(prior: InverseGammaParams, n: int, theta_hat: float, kappa: 
         )
     half = n / (2.0 * kappa)
     ig = InverseGammaParams(shape=prior.shape + half, rate=prior.rate + half * theta_hat)
-    return GibbsPosterior(ig=ig, kappa=float(kappa), n=int(n), theta_hat=float(theta_hat))
+    return GibbsPosterior(ig=ig)
 
 
 def gibbs_update(prior: InverseGammaParams, path: SamplePath, kappa: float) -> GibbsPosterior:
@@ -388,8 +385,7 @@ def infer_increments(
     Non-finite increments are rejected with a :class:`ConfigurationError`
     naming the first bad 1-based row.  When no temperature can be formed
     (``theta_hat`` is zero or ``kappa`` is at or below :data:`KAPPA_FLOOR`),
-    the :class:`DegenerateInferenceError` carries the estimates made so far
-    as ``theta_hat`` and ``qv``.
+    a :class:`DegenerateInferenceError` is raised.
     """
     d = np.asarray(increments, dtype=float)
     bad = np.flatnonzero(~np.isfinite(d))
@@ -397,11 +393,7 @@ def infer_increments(
         raise ConfigurationError(f"increment in row {bad[0] + 1} is not finite: {d[bad[0]]}")
     qv = estimate_jump_qv(d, rule.resolve(d))
     theta_hat = mle_from_increments(d, horizon)
-    try:
-        kappa = compute_kappa(theta_hat, qv, horizon)
-    except DegenerateInferenceError as err:
-        err.theta_hat, err.qv = theta_hat, qv
-        raise
+    kappa = compute_kappa(theta_hat, qv, horizon)
     post = tempered_update(prior, d.size, theta_hat, kappa)
     return Inference(
         n=d.size,

@@ -101,9 +101,6 @@ class QvEstimate:
     jump_qv_hat: float
     flagged: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {"eta": self.eta, "jump_qv_hat": self.jump_qv_hat, "flagged": list(self.flagged)}
-
 
 def estimate_jump_qv(increments, eta: float) -> QvEstimate:
     """Sum of squared increments over the windows with ``|D_i| > eta``."""

@@ -704,6 +704,24 @@ def test_diag_rejects_flags_of_other_diagnostics(args, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--out", "-")])
+def test_diag_flag_before_subcommand_is_named(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", flag, value, "bvm"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: diag flags go after the subcommand" in captured.err
+    assert "invalid choice" not in captured.err
+    assert captured.out == ""
+
+
+def test_diag_help_still_works(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "-h"])
+    assert exc.value.code == 0
+    assert "{bvm,sandwich,mse,qvrate}" in capsys.readouterr().out
+
+
 def test_diag_sandwich_benchmark_value(capsys):
     code, out, _ = run_cli(["diag", "sandwich", "--n", "5000", "--out", "-"], capsys)
     assert code == 0

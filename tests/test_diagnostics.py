@@ -44,7 +44,7 @@ def test_truth_summary_from_path():
     truth = TruthSummary.from_path(DIFF, path)
     assert truth.theta_dagger == pytest.approx(10.0 + path.truth.jump_qv / path.horizon)
     assert truth.kappa_dagger == pytest.approx((10.0 / truth.theta_dagger) ** 2)
-    assert truth.jump_count == len(path.truth.jump_windows)
+    assert (truth.theta_star, truth.jump_qv) == (10.0, path.truth.jump_qv)
 
 
 def test_truth_summary_validation():

@@ -6,14 +6,15 @@ import pytest
 from jumpvol import (
     ConfigurationError,
     CoverageConfig,
+    DegenerateInferenceError,
     DiffusionSpec,
     InverseGammaParams,
     JumpSpec,
     ThresholdRule,
-    compute_mle,
+    credible_interval,
     derive_seed,
+    infer_increments,
     run_coverage,
-    run_replication,
     simulate_path,
     write_coverage_csv,
 )
@@ -43,54 +44,55 @@ def test_derive_seed_collision_scan():
 
 
 # ---------------------------------------------------------------------------
-# run_replication
+# One replication: simulate, infer, interval
 # ---------------------------------------------------------------------------
+
+def _interval(jumps, n, seed):
+    path = simulate_path(DIFF, jumps, n, seed=seed)
+    inf = infer_increments(path.increments, path.horizon, IQR, PRIOR)
+    return credible_interval(inf.modified, 0.95)
+
 
 def test_replication_repeatable():
     jumps = JumpSpec.two_point(5.0, 3.0)
-    a = run_replication(DIFF, jumps, 1000, PRIOR, IQR, 0.95, seed=99)
-    b = run_replication(DIFF, jumps, 1000, PRIOR, IQR, 0.95, seed=99)
-    assert a == b
-    assert not a.degenerate
-    assert a.interval.width == a.width
+    assert _interval(jumps, 1000, 99) == _interval(jumps, 1000, 99)
 
 
 def test_replication_well_specified_coverage():
-    nojumps = JumpSpec.two_point(0.0, 3.0)
-    covered = 0
-    reps = 400
-    for rep in range(reps):
-        result = run_replication(
-            DIFF, nojumps, 2000, PRIOR, IQR, 0.95, seed=derive_seed(1, 0, rep)
-        )
-        covered += int(result.covered)
-    assert 0.92 <= covered / reps <= 0.98
+    # cell 0 of base seed 1 draws the seeds derive_seed(1, 0, rep)
+    config = CoverageConfig(
+        diffusion=DIFF, lambda_grid=(0.0,), tau_grid=(3.0,), n_grid=(2000,), reps=400, base_seed=1
+    )
+    row = run_coverage(config)[0]
+    assert row.degenerate_count == 0
+    assert 0.92 <= row.coverage <= 0.98
 
 
 def test_replication_single_seed_illustration():
     # the showcase configuration: one replication whose interval brackets
     # the true volatility
     jumps = JumpSpec.two_point(5.0, 3.0)
-    result = run_replication(DIFF, jumps, 5000, PRIOR, IQR, 0.95, seed=42)
-    assert not result.degenerate
-    assert result.covered
+    assert _interval(jumps, 5000, 42).contains(DIFF.theta_star)
 
 
 def test_replication_degenerate_is_reported_not_raised():
     # a near-zero fixed threshold flags everything, driving the temperature
-    # to zero
-    jumps = JumpSpec.two_point(5.0, 3.0)
-    result = run_replication(
-        DIFF, jumps, 500, PRIOR, ThresholdRule.fixed(1e-300), 0.95, seed=5
+    # to zero; coverage counts each such replication instead of raising
+    rule = ThresholdRule.fixed(1e-300)
+    config = CoverageConfig(
+        diffusion=DIFF,
+        lambda_grid=(5.0,),
+        tau_grid=(3.0,),
+        n_grid=(500,),
+        reps=20,
+        threshold=rule,
+        base_seed=5,
     )
-    assert result.degenerate
-    assert result.covered is None
-    assert result.interval is None
-    assert "temperature" in result.degenerate_reason
-    # the estimates made before the temperature failed are still reported
-    path = simulate_path(DIFF, jumps, 500, seed=5)
-    assert result.theta_hat == compute_mle(path)
-    assert result.jump_qv_hat == pytest.approx(result.theta_hat * path.horizon, rel=1e-12)
+    row = run_coverage(config)[0]
+    assert row.degenerate_count == row.reps
+    path = simulate_path(DIFF, JumpSpec.two_point(5.0, 3.0), 500, seed=5)
+    with pytest.raises(DegenerateInferenceError, match="temperature"):
+        infer_increments(path.increments, path.horizon, rule, PRIOR)
 
 
 # ---------------------------------------------------------------------------

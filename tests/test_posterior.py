@@ -131,7 +131,6 @@ def test_shifted_center_is_consistent():
 
 def test_update_conjugate_algebra():
     post = gibbs_update(PRIOR, _path([1.0, 1.0]), kappa=1.0)
-    assert post.theta_hat == pytest.approx(2.0)
     assert post.ig.shape == pytest.approx(2.0)
     assert post.ig.rate == pytest.approx(3.0)
 
@@ -209,7 +208,7 @@ def test_quantiles_match_scipy():
     draws = [(10 ** rng.uniform(-0.3, 5.0), 10 ** rng.uniform(-1.0, 6.0)) for _ in range(30)]
     # shapes near n / (2 kappa) of a 1M-row infer
     for shape, rate in draws + [(5e5, 5e6), (1e6, 1e7)]:
-        post = GibbsPosterior(ig=InverseGammaParams(shape, rate), kappa=1.0, n=1, theta_hat=1.0)
+        post = GibbsPosterior(ig=InverseGammaParams(shape, rate))
         frozen = stats.invgamma(shape, scale=rate)
         for q in (1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6):
             assert post.ppf(q) == pytest.approx(frozen.ppf(q), rel=1e-7)
@@ -221,7 +220,7 @@ def test_quantile_mass_residual_at_large_shapes(shape, q):
     # shapes of n / (2 kappa) at n = 16000 with rate 16, tau 8: gammainccinv
     # alone misses the mass tolerance near q = 1 - 1e-6 there
     rate = 1.7e3 * shape
-    post = GibbsPosterior(ig=InverseGammaParams(shape, rate), kappa=1.0, n=1, theta_hat=1.0)
+    post = GibbsPosterior(ig=InverseGammaParams(shape, rate))
     x = post.ppf(q)
     assert abs(sc.gammaincc(shape, rate / x) - q) <= QUANTILE_TOL
     closed_form = rate / sc.gammainccinv(shape, q)
@@ -310,7 +309,7 @@ def test_interval_levels_and_degeneracy():
 
 
 def test_interval_quantiles_match_oracle():
-    post = GibbsPosterior(ig=InverseGammaParams(3.0, 2.0), kappa=1.0, n=4, theta_hat=1.0)
+    post = GibbsPosterior(ig=InverseGammaParams(3.0, 2.0))
     modified = modify_posterior(post, _qv(0.0), horizon=1.0)
     interval = credible_interval(modified, 0.5)
     frozen = stats.invgamma(3.0, scale=2.0)

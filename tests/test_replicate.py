@@ -12,6 +12,7 @@ from jumpvol import (
     ConfigurationError,
     CoverageConfig,
     CoverageRow,
+    DegenerateInferenceError,
     DiffusionSpec,
     InverseGammaParams,
     JumpRealization,
@@ -23,19 +24,20 @@ from jumpvol import (
     TruthSummary,
     bvm_convergence_check,
     compute_mle,
+    credible_interval,
     derive_seed,
     estimate_jump_qv,
     infer_increments,
     mse_oracle,
     qv_error_rate,
     run_coverage,
-    run_replication,
     sandwich_variance,
     simulate_path,
     simulate_path_given_jumps,
     tv_distance,
     write_coverage_csv,
 )
+from jumpvol import harness
 from jumpvol.harness import replicate
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
@@ -62,6 +64,30 @@ def test_replicate_rejects_fewer_than_one_worker():
         replicate(_seed_of, ["a"], 3, 0, workers=0)
 
 
+def test_replicate_caps_the_pool_at_the_task_count(monkeypatch):
+    # a pool starts all of its workers at once, so a huge worker count must
+    # not reach it; this stand-in records the count and maps in-process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    results = replicate(_seed_of, ["a", "b"], 3, 5, workers=10**6)
+    assert sizes == [2]
+    assert results == replicate(_seed_of, ["a", "b"], 3, 5)
+
+
 # ---------------------------------------------------------------------------
 # Reference loops: each experiment as one plain loop over replications
 # ---------------------------------------------------------------------------
@@ -76,14 +102,17 @@ def _coverage_reference(config):
             block_width = 0.0
             for rep in range(start, min(start + 256, config.reps)):
                 seed = derive_seed(config.base_seed, cell, rep)
-                result = run_replication(
-                    config.diffusion, jumps, n, config.prior, config.threshold, config.level, seed
-                )
-                if result.degenerate:
+                path = simulate_path(config.diffusion, jumps, n, seed=seed)
+                try:
+                    inf = infer_increments(
+                        path.increments, path.horizon, config.threshold, config.prior
+                    )
+                except DegenerateInferenceError:
                     degenerate += 1
-                else:
-                    covered += int(result.covered)
-                    block_width += result.width
+                    continue
+                interval = credible_interval(inf.modified, config.level)
+                covered += int(interval.contains(config.diffusion.theta_star))
+                block_width += interval.width
             width_sum += block_width
         effective = config.reps - degenerate
         if effective > 0:

@@ -106,11 +106,6 @@ def test_qv_bounded_by_total_sum_of_squares():
         assert hat <= np.sum(d * d) + 1e-12
 
 
-def test_as_dict_serialization():
-    estimate = estimate_jump_qv(np.array([0.1, 5.0]), eta=1.0)
-    assert estimate.as_dict() == {"eta": 1.0, "jump_qv_hat": 25.0, "flagged": [2]}
-
-
 # ---------------------------------------------------------------------------
 # ThresholdRule
 # ---------------------------------------------------------------------------
