@@ -38,7 +38,6 @@ from .posterior import (
     GibbsPosterior,
     Inference,
     InverseGammaParams,
-    ModifiedPosterior,
     NormalApprox,
     TruncatedPosterior,
     bvm_normal,
@@ -93,7 +92,6 @@ __all__ = [
     "JumpSpec",
     "JumpvolError",
     "KAPPA_FLOOR",
-    "ModifiedPosterior",
     "MseOracleResult",
     "NormalApprox",
     "NumericError",

@@ -358,13 +358,13 @@ def cmd_infer(args) -> int:
     dist = inf.modified.truncated_positive() if cfg.truncate_positive else inf.modified
     interval = credible_interval(dist, cfg.level)
     approx = bvm_normal(inf.theta_hat, inf.qv, horizon, inf.n)
-    post = inf.posterior
+    post = inf.modified
     record = {
         "theta_hat": inf.theta_hat,
         "jump_qv_hat": inf.qv.jump_qv_hat,
         "eta": inf.qv.eta,
         "kappa": inf.kappa,
-        "posterior": {"shape": post.ig.shape, "rate": post.ig.rate, "shift": inf.modified.shift},
+        "posterior": {"shape": post.ig.shape, "rate": post.ig.rate, "shift": post.shift},
         "interval": {"level": cfg.level, "lo": interval.lo, "hi": interval.hi},
         "bvm": {"mean": approx.mean, "variance": approx.variance},
     }

@@ -18,7 +18,7 @@ posterior is close to ``N(theta_hat - jump_qv_hat / T, 2 * center^2 / n)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special as sc
@@ -120,24 +120,35 @@ def _invgamma_ppf(q: float, shape: float, rate: float) -> float:
 
 @dataclass(frozen=True)
 class GibbsPosterior:
-    """Tempered conjugate posterior: an inverse-gamma law."""
+    """Tempered conjugate posterior: an inverse-gamma law moved left by
+    ``shift`` (``jump_qv_hat / T`` after :func:`modify_posterior`, else 0).
+
+    The density at ``x`` equals the inverse-gamma density at ``x + shift``;
+    support is ``(-shift, inf)``.  No renormalization to the positive axis is
+    applied; :meth:`truncated_positive` returns the clipped, renormalized law.
+    """
 
     ig: InverseGammaParams
+    shift: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.shift) and self.shift >= 0):
+            raise ConfigurationError(f"shift must be nonnegative, got {self.shift}")
 
     def pdf(self, x):
-        return _invgamma_pdf(x, self.ig.shape, self.ig.rate)
+        return _invgamma_pdf(np.asarray(x, dtype=float) + self.shift, self.ig.shape, self.ig.rate)
 
     def cdf(self, x):
-        return _invgamma_cdf(x, self.ig.shape, self.ig.rate)
+        return _invgamma_cdf(np.asarray(x, dtype=float) + self.shift, self.ig.shape, self.ig.rate)
 
     def ppf(self, q: float) -> float:
-        return _invgamma_ppf(q, self.ig.shape, self.ig.rate)
+        return _invgamma_ppf(q, self.ig.shape, self.ig.rate) - self.shift
 
     @property
     def mean(self) -> float:
         if self.ig.shape <= 1:
             raise ValueError(f"mean undefined for shape {self.ig.shape} <= 1")
-        return self.ig.rate / (self.ig.shape - 1.0)
+        return self.ig.rate / (self.ig.shape - 1.0) - self.shift
 
     @property
     def variance(self) -> float:
@@ -146,43 +157,10 @@ class GibbsPosterior:
             raise ValueError(f"variance undefined for shape {a} <= 2")
         return b * b / ((a - 1.0) ** 2 * (a - 2.0))
 
-
-@dataclass(frozen=True)
-class ModifiedPosterior:
-    """The tempered posterior shifted left by ``shift = jump_qv_hat / T``.
-
-    The density at ``x`` equals the base density at ``x + shift``; support is
-    ``(-shift, inf)``.  No renormalization to the positive axis is applied;
-    :meth:`truncated_positive` returns the clipped, renormalized variant.
-    """
-
-    base: GibbsPosterior
-    shift: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.shift) and self.shift >= 0):
-            raise ConfigurationError(f"shift must be nonnegative, got {self.shift}")
-
-    def pdf(self, x):
-        return self.base.pdf(np.asarray(x, dtype=float) + self.shift)
-
-    def cdf(self, x):
-        return self.base.cdf(np.asarray(x, dtype=float) + self.shift)
-
-    def ppf(self, q: float) -> float:
-        return self.base.ppf(q) - self.shift
-
     @property
-    def mean(self) -> float:
-        return self.base.mean - self.shift
-
-    @property
-    def variance(self) -> float:
-        return self.base.variance
-
     def mass_below_zero(self) -> float:
         """Posterior mass the shift pushed onto ``(-shift, 0]``."""
-        return float(self.base.cdf(self.shift))
+        return float(self.cdf(0.0))
 
     def truncated_positive(self) -> "TruncatedPosterior":
         return TruncatedPosterior(self)
@@ -190,13 +168,23 @@ class ModifiedPosterior:
 
 @dataclass(frozen=True)
 class TruncatedPosterior:
-    """A shifted posterior clipped to ``(0, inf)`` and renormalized."""
+    """A shifted posterior clipped to ``(0, inf)`` and renormalized.
 
-    source: ModifiedPosterior
+    A :class:`DegenerateInferenceError` is raised when no posterior mass is
+    left above zero.
+    """
+
+    source: GibbsPosterior
     mass_below_zero: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mass_below_zero", self.source.mass_below_zero())
+        f0 = self.source.mass_below_zero
+        if not f0 < 1.0:
+            raise DegenerateInferenceError(
+                f"mass_below_zero is {f0}: the shift {self.source.shift} leaves "
+                "no posterior mass above zero to truncate to"
+            )
+        object.__setattr__(self, "mass_below_zero", f0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -329,11 +317,11 @@ def gibbs_update(prior: InverseGammaParams, path: SamplePath, kappa: float) -> G
     return tempered_update(prior, n=path.n, theta_hat=compute_mle(path), kappa=kappa)
 
 
-def modify_posterior(post: GibbsPosterior, qv: QvEstimate, horizon: float) -> ModifiedPosterior:
-    """Shift the tempered posterior left by ``jump_qv_hat / horizon``."""
+def modify_posterior(post: GibbsPosterior, qv: QvEstimate, horizon: float) -> GibbsPosterior:
+    """The same law shifted left by ``jump_qv_hat / horizon``."""
     if not (np.isfinite(horizon) and horizon > 0):
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    return ModifiedPosterior(base=post, shift=qv.jump_qv_hat / horizon)
+    return replace(post, shift=qv.jump_qv_hat / horizon)
 
 
 def credible_interval(mod, level: float) -> CredibleInterval:
@@ -374,7 +362,7 @@ class Inference:
     qv: QvEstimate
     kappa: float
     posterior: GibbsPosterior
-    modified: ModifiedPosterior
+    modified: GibbsPosterior
 
 
 def infer_increments(

@@ -7,10 +7,10 @@ from scipy.integrate import quad
 from jumpvol import (
     ConfigurationError,
     DiffusionSpec,
+    GibbsPosterior,
     InverseGammaParams,
     JumpRealization,
     JumpSpec,
-    ModifiedPosterior,
     NormalApprox,
     ThresholdRule,
     TruthSummary,
@@ -162,7 +162,7 @@ def test_tv_matches_adaptive_quadrature(n, rate, tau, kind):
 def test_tv_of_truncated_posterior_with_mass_below_zero():
     # the clipped density jumps at 0, inside the support of the normal
     post = tempered_update(PRIOR, n=6, theta_hat=1.0, kappa=1.0)
-    truncated = ModifiedPosterior(base=post, shift=1.5).truncated_positive()
+    truncated = GibbsPosterior(ig=post.ig, shift=1.5).truncated_positive()
     assert truncated.mass_below_zero > 0.01
     for limit in (NormalApprox(0.2, 0.3), NormalApprox(1.0, 4.0)):
         assert tv_distance(truncated, limit) == pytest.approx(

@@ -281,7 +281,7 @@ def test_interval_width_independent_of_shift():
 def test_truncated_positive_renormalizes():
     post = tempered_update(PRIOR, n=6, theta_hat=1.0, kappa=1.0)
     modified = modify_posterior(post, _qv(1.5), horizon=1.0)
-    assert modified.mass_below_zero() > 0.01
+    assert modified.mass_below_zero > 0.01
     truncated = modified.truncated_positive()
     mass = quad(lambda x: truncated.pdf(x), 0.0, 100.0, limit=200)[0]
     assert mass == pytest.approx(1.0, abs=1e-6)
