@@ -39,9 +39,9 @@ print("(the two columns agree: total variation is shift invariant)")
 fixed = simulate_jumps(jumps, diff.horizon, seed=314)
 print(f"\nfrozen jump path with {len(fixed)} jumps")
 result = mse_oracle(diff, fixed, n=5000, reps=4000, seed=41)
-truth = TruthSummary.from_values(diff.theta_star, result.theta_dagger - diff.theta_star, 1.0)
+truth = TruthSummary(diff.theta_star, result.theta_dagger - diff.theta_star, 1.0)
 print(f"empirical variance of theta_hat: {result.empirical_variance:.4f}")
-print(f"sandwich formula:                {sandwich_variance(truth, 1.0, 5000):.4f}")
+print(f"sandwich formula:                {sandwich_variance(truth, 5000):.4f}")
 
 # 3. adjudicating the two MSE candidates -----------------------------------
 print(f"\nempirical MSE around theta_dagger: {result.empirical_mse:.4f}"

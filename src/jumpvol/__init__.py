@@ -62,7 +62,6 @@ from .simulate import (
     SizeTable,
     TwoPointSizes,
     bin_jumps,
-    increments_csv_text,
     read_increments_csv,
     simulate_jumps,
     simulate_path,
@@ -113,7 +112,6 @@ __all__ = [
     "derive_seed",
     "estimate_jump_qv",
     "gibbs_update",
-    "increments_csv_text",
     "infer_increments",
     "interquartile_threshold",
     "mle_from_increments",

@@ -405,8 +405,8 @@ def cmd_diag(args) -> int:
     out = _check_out(cfg.out)
 
     if sub == "sandwich":
-        truth = TruthSummary.from_values(cfg.theta_star, cfg.jump_qv, cfg.horizon)
-        value = sandwich_variance(truth, cfg.horizon, cfg.n)
+        truth = TruthSummary(cfg.theta_star, cfg.jump_qv, cfg.horizon)
+        value = sandwich_variance(truth, cfg.n)
         _write_text(out, _diag_csv([(cfg.n, "sandwich_variance", value, None)]))
         return 0
 

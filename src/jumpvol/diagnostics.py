@@ -63,39 +63,34 @@ class TruthSummary:
     """
 
     theta_star: float
-    theta_dagger: float
-    kappa_dagger: float
     jump_qv: float
+    horizon: float
 
     def __post_init__(self):
-        if self.theta_dagger < self.theta_star:
-            raise ConfigurationError("theta_dagger cannot be below theta_star")
-        if not 0.0 < self.kappa_dagger <= 1.0:
-            raise ConfigurationError(f"kappa_dagger must lie in (0, 1], got {self.kappa_dagger}")
+        if not (np.isfinite(self.theta_star) and self.theta_star > 0):
+            raise ConfigurationError(f"theta_star must be positive, got {self.theta_star}")
+        if not (np.isfinite(self.jump_qv) and self.jump_qv >= 0):
+            raise ConfigurationError(f"jump_qv must be nonnegative, got {self.jump_qv}")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if not np.isfinite(self.theta_dagger):
+            raise ConfigurationError(
+                f"jump_qv / horizon overflows: {self.jump_qv} / {self.horizon}"
+            )
 
-    @classmethod
-    def from_values(cls, theta_star: float, jump_qv: float, horizon: float) -> "TruthSummary":
-        if not (np.isfinite(theta_star) and theta_star > 0):
-            raise ConfigurationError(f"theta_star must be positive, got {theta_star}")
-        if jump_qv < 0:
-            raise ConfigurationError(f"jump_qv must be nonnegative, got {jump_qv}")
-        if not (np.isfinite(horizon) and horizon > 0):
-            raise ConfigurationError(f"horizon must be positive, got {horizon}")
-        dagger = theta_star + jump_qv / horizon
-        return cls(
-            theta_star=theta_star,
-            theta_dagger=dagger,
-            kappa_dagger=(theta_star / dagger) ** 2,
-            jump_qv=jump_qv,
-        )
+    @property
+    def theta_dagger(self) -> float:
+        return self.theta_star + self.jump_qv / self.horizon
+
+    @property
+    def kappa_dagger(self) -> float:
+        return (self.theta_star / self.theta_dagger) ** 2
 
     @classmethod
     def from_path(cls, diff: DiffusionSpec, path: SamplePath) -> "TruthSummary":
         if path.truth is None:
             raise ConfigurationError("path carries no truth fields")
-        return cls.from_values(
-            theta_star=diff.theta_star, jump_qv=path.truth.jump_qv, horizon=path.horizon
-        )
+        return cls(theta_star=diff.theta_star, jump_qv=path.truth.jump_qv, horizon=path.horizon)
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -255,7 +250,7 @@ def bvm_convergence_check(
 # Conditional variance and MSE of the jump-blind estimator
 # ---------------------------------------------------------------------------
 
-def sandwich_variance(truth: TruthSummary, horizon: float, n: int) -> float:
+def sandwich_variance(truth: TruthSummary, n: int) -> float:
     """Leading term of the conditional variance of ``theta_hat``:
     ``(2 theta_dagger^2 / n) * (1 - (jump_qv / (T theta_dagger))^2)``.
 
@@ -263,9 +258,7 @@ def sandwich_variance(truth: TruthSummary, horizon: float, n: int) -> float:
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    ratio = truth.jump_qv / (horizon * truth.theta_dagger)
+    ratio = truth.jump_qv / (truth.horizon * truth.theta_dagger)
     return (2.0 * truth.theta_dagger**2 / n) * (1.0 - ratio**2)
 
 
@@ -318,7 +311,7 @@ def mse_oracle(
         raise ConfigurationError(f"need at least 1000 replications, got {reps}")
     jump_truth = PathTruth(bin_jumps(fixed_jumps, n, diff.horizon)[0])
     horizon = n * (diff.horizon / n)
-    truth = TruthSummary.from_values(diff.theta_star, jump_truth.jump_qv, horizon)
+    truth = TruthSummary(diff.theta_star, jump_truth.jump_qv, horizon)
     (estimates,) = replicate(partial(_mle_given_jumps, diff, fixed_jumps), [n], reps, seed)
     estimates = np.array(estimates)
     mse, mse_stderr = _mean_and_stderr((estimates - truth.theta_dagger) ** 2)
@@ -332,7 +325,7 @@ def mse_oracle(
         empirical_variance=float(estimates.var(ddof=1)),
         empirical_variance_stderr=variance_stderr,
         product_form=2.0 * diff.theta_star * truth.theta_dagger / n,
-        sandwich=sandwich_variance(truth, horizon, n),
+        sandwich=sandwich_variance(truth, n),
     )
 
 

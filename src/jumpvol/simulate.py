@@ -494,10 +494,3 @@ def _check_grid(table: np.ndarray, cols: dict) -> None:
     if bad:
         i, reason = min(bad)
         raise ConfigurationError(f"increments file row {i + 1}: {reason}")
-
-
-def increments_csv_text(path: SamplePath, with_truth: bool = False) -> str:
-    """Render :func:`write_increments_csv` output as a string."""
-    buf = io.StringIO()
-    write_increments_csv(buf, path, with_truth=with_truth)
-    return buf.getvalue()

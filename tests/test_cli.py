@@ -423,6 +423,9 @@ def test_readme_config_table_matches_schema():
 @given(data=st.data())
 @pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
 def test_generated_config_exits_cleanly(command, data, tmp_path_factory):
+    # For diag bvm, mse and qvrate this covers only the config checks: _REPS
+    # draws 1-3, below their reps floors of 100, 1000 and 200, so every
+    # example exits 2 before any replication runs.
     keys = _CONFIG_KEYS[command]
     config = data.draw(_object(keys, always=[key for key in _SIZE_KEYS if key in keys]))
     work = tmp_path_factory.mktemp("config")
@@ -639,6 +642,22 @@ def test_infer_truncate_positive_changes_interval(tmp_path, capsys):
     assert code == 0
     clipped = json.loads(out)
     assert plain["interval"]["lo"] < 0.0 < clipped["interval"]["lo"]
+
+
+def test_infer_truncate_positive_with_all_mass_below_zero_exits_4(tmp_path, capsys):
+    # a prior this strong puts the posterior near zero, so the shift of 25
+    # moves all of its mass below zero and nothing is left to renormalize
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join(f"{x}\n" for x in (1.0, -1.0, 1.0, 5.0, -1.0, 1.0)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"prior": {"shape": 1e9, "rate": 1e-3}}))
+    args = ["infer", "--input", str(raw), "--threshold", "fixed:2.0", "--config", str(config)]
+    code, out, err = run_cli(args + ["--truncate-positive", "--out", "-"], capsys)
+    assert code == 4
+    diagnostic = json.loads(out)
+    assert diagnostic["error"] == "degenerate_inference"
+    assert "mass_below_zero is 1.0" in diagnostic["message"]
+    assert "quantile level" not in out + err
 
 
 # ---------------------------------------------------------------------------

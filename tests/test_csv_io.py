@@ -13,7 +13,6 @@ from jumpvol import (
     JumpSpec,
     PathTruth,
     SamplePath,
-    increments_csv_text,
     read_increments_csv,
     simulate_path,
     write_increments_csv,
@@ -23,6 +22,13 @@ from jumpvol.cli import main
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
+
+
+def increments_csv_text(path: SamplePath, with_truth: bool = False) -> str:
+    """Render :func:`write_increments_csv` output as a string."""
+    buf = io.StringIO()
+    write_increments_csv(buf, path, with_truth=with_truth)
+    return buf.getvalue()
 
 
 def test_round_trip_exact(tmp_path):

@@ -49,11 +49,15 @@ def test_truth_summary_from_path():
 
 def test_truth_summary_validation():
     with pytest.raises(ConfigurationError):
-        TruthSummary.from_values(theta_star=-1.0, jump_qv=0.0, horizon=1.0)
+        TruthSummary(theta_star=-1.0, jump_qv=0.0, horizon=1.0)
     with pytest.raises(ConfigurationError):
-        TruthSummary.from_values(theta_star=1.0, jump_qv=-2.0, horizon=1.0)
+        TruthSummary(theta_star=1.0, jump_qv=-2.0, horizon=1.0)
+    with pytest.raises(ConfigurationError, match="jump_qv"):
+        TruthSummary(theta_star=1.0, jump_qv=math.nan, horizon=1.0)
     with pytest.raises(ConfigurationError, match="horizon"):
-        TruthSummary.from_values(theta_star=1.0, jump_qv=45.0, horizon=0.0)
+        TruthSummary(theta_star=1.0, jump_qv=45.0, horizon=0.0)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        TruthSummary(theta_star=1.0, jump_qv=1e308, horizon=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +230,15 @@ def test_bvm_check_validation():
 # ---------------------------------------------------------------------------
 
 def test_sandwich_reduces_to_efficiency_benchmark():
-    truth = TruthSummary.from_values(theta_star=10.0, jump_qv=0.0, horizon=1.0)
-    assert sandwich_variance(truth, horizon=1.0, n=5000) == pytest.approx(
+    truth = TruthSummary(theta_star=10.0, jump_qv=0.0, horizon=1.0)
+    assert sandwich_variance(truth, n=5000) == pytest.approx(
         2.0 * 100.0 / 5000.0, rel=1e-15
     )
 
 
 def test_sandwich_direct_arithmetic():
-    truth = TruthSummary.from_values(theta_star=10.0, jump_qv=45.0, horizon=1.0)
-    value = sandwich_variance(truth, horizon=1.0, n=5000)
+    truth = TruthSummary(theta_star=10.0, jump_qv=45.0, horizon=1.0)
+    value = sandwich_variance(truth, n=5000)
     assert value == pytest.approx((2.0 * 55.0**2 / 5000.0) * (1.0 - (45.0 / 55.0) ** 2), rel=1e-12)
     assert value == pytest.approx(0.4, abs=1e-12)
 

@@ -125,6 +125,22 @@ def test_shifted_center_is_consistent():
     assert abs(rmse - target) <= 0.5 * target
 
 
+@pytest.mark.parametrize("cell, rate, tau", [(0, 16.0, 4.0), (1, 32.0, 8.0)])
+def test_shifted_center_is_efficient_with_jumps(cell, rate, tau):
+    # the paper's efficiency claim with jumps present: over 1000 seeds the
+    # shifted center's variance lies within 15% of the no-jumps bound
+    # 2 theta*^2 / n
+    reps, n = 1000, 5000
+    jumps = JumpSpec.two_point(rate, tau)
+    centers = np.empty(reps)
+    for rep in range(reps):
+        path = simulate_path(DIFF, jumps, n=n, seed=derive_seed(2016, cell, rep))
+        inf = infer_increments(path.increments, path.horizon, ThresholdRule.iqr(), PRIOR)
+        centers[rep] = inf.theta_hat - inf.modified.shift
+    bound = 2.0 * DIFF.theta_star**2 / n
+    assert abs(centers.var(ddof=1) / bound - 1.0) <= 0.15
+
+
 # ---------------------------------------------------------------------------
 # Conjugate update
 # ---------------------------------------------------------------------------

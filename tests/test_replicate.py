@@ -177,7 +177,6 @@ def _mse_reference(fixed, n, reps, seed):
         if rep == 0:
             theta_dagger = DIFF.theta_star + path.truth.jump_qv / path.horizon
             truth = TruthSummary.from_path(DIFF, path)
-            horizon = path.horizon
         estimates[rep] = compute_mle(path)
     sq = (estimates - theta_dagger) ** 2
     centered = (estimates - estimates.mean()) ** 2
@@ -190,7 +189,7 @@ def _mse_reference(fixed, n, reps, seed):
         empirical_variance=float(estimates.var(ddof=1)),
         empirical_variance_stderr=float(centered.std(ddof=1) / math.sqrt(reps)),
         product_form=2.0 * DIFF.theta_star * theta_dagger / n,
-        sandwich=sandwich_variance(truth, horizon, n),
+        sandwich=sandwich_variance(truth, n),
     )
 
 
