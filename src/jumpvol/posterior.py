@@ -40,6 +40,8 @@ KAPPA_FLOOR = 1e-6
 #: have; a larger one raises :class:`NumericError`.
 QUANTILE_TOL = 1e-9
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class InverseGammaParams:
@@ -56,18 +58,38 @@ class InverseGammaParams:
             raise ConfigurationError(f"rate must be positive and finite, got {self.rate}")
 
 
-def _invgamma_lognorm(shape: float, rate: float) -> float:
-    return shape * math.log(rate) - float(sc.gammaln(shape))
+def _stirlerr(a: float) -> float:
+    """Error of Stirling's formula, ``log Gamma(a) - (a - 1/2) log a + a -
+    log(2 pi) / 2``: directly below 15, and from 15 up by its asymptotic
+    series, whose first omitted term is below 3e-16 there."""
+    if a < 15.0:
+        return float(sc.gammaln(a)) - (a - 0.5) * math.log(a) + a - 0.5 * math.log(2.0 * math.pi)
+    b = 1.0 / (a * a)
+    return (1 / 12 - b * (1 / 360 - b * (1 / 1260 - b * (1 / 1680 - b / 1188)))) / a
 
 
 def _invgamma_pdf(x, shape: float, rate: float):
+    """Inverse-gamma density in the saddle-point form of Loader (2000), "Fast
+    and accurate computation of binomial probabilities": with ``r = rate /
+    (shape x)``,
+
+        log f(x) = shape (log r - (r - 1)) + log(shape / 2 pi) / 2 - stirlerr(shape) - log x.
+
+    No term of size ``shape log rate`` is formed, so the rounding error does
+    not grow with the shape as it does in ``shape log rate - gammaln(shape)
+    - (shape + 1) log x - rate / x``.  ``r - 1`` is exact near the mode, and
+    ``log r`` (not ``log1p(r - 1)``) keeps its precision far in the right
+    tail, where ``r`` is tiny.
+    """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
+    xp = x[pos]
+    log_scale = 0.5 * math.log(shape / (2.0 * math.pi)) - _stirlerr(shape)
     with np.errstate(over="ignore", divide="ignore"):
-        out[pos] = np.exp(
-            _invgamma_lognorm(shape, rate) - (shape + 1.0) * np.log(x[pos]) - rate / x[pos]
-        )
+        # capped so that an overflowing ratio gives a zero density, not inf - inf
+        r = np.minimum(rate / (shape * xp), _FLOAT_MAX)
+        out[pos] = np.exp(shape * (np.log(r) - (r - 1.0)) + log_scale) / xp
     return out if out.ndim else float(out)
 
 

@@ -29,6 +29,7 @@ from jumpvol import (
     tempered_update,
     tv_distance,
 )
+from jumpvol.diagnostics import _bvm_distances
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -117,6 +118,17 @@ def test_tv_rejects_unnormalized_density():
 
     with pytest.raises(ValueError):
         tv_distance(Doubled(), NormalApprox(0.0, 1.0))
+
+
+def test_bvm_distances_at_a_tempered_shape_of_2e8():
+    # replication 40 at n = 16000 of `diag bvm --seed 1` with rate 16, tau 8:
+    # kappa is 4.2e-5 there, and a density whose log carries a rounding error
+    # of shape size integrates to 1 - 1.1e-6 and fails the mass check
+    jumps = JumpSpec.two_point(16.0, 8.0)
+    seed = derive_seed(1, 1, 40)
+    tv_t, tv_m = _bvm_distances(DIFF, jumps, PRIOR, ThresholdRule.iqr(), 16000, seed)
+    assert 0.0 < tv_t < 0.01
+    assert tv_m == pytest.approx(tv_t, abs=1e-9)
 
 
 def _quad_tv(a, b) -> float:

@@ -33,7 +33,8 @@ from jumpvol import (
     simulate_path,
     tempered_update,
 )
-from jumpvol.posterior import QUANTILE_TOL
+from jumpvol.diagnostics import _TV_LADDER, _gauss_legendre
+from jumpvol.posterior import QUANTILE_TOL, _stirlerr
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -253,6 +254,34 @@ def test_pdf_of_a_float_is_the_array_value():
             value = dist.pdf(x)
             assert type(value) is float
             assert value == dist.pdf(np.array([x]))[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(log10_shape=st.floats(math.log10(5.0), math.log10(5e8)))
+def test_density_integrates_to_one_at_large_shapes(log10_shape):
+    # the TV rule's panels between the ladder quantiles hold 1 - 2e-14 of the
+    # mass; a density with a shape-sized rounding error in its log misses
+    # that by up to 2e-6 at these shapes
+    shape = 10.0**log10_shape
+    post = GibbsPosterior(ig=InverseGammaParams(shape, 10.0 * shape))
+    nodes, weights = _gauss_legendre(np.array([post.ppf(p) for p in _TV_LADDER]))
+    assert abs(post.pdf(nodes) @ weights - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 5.0, 14.9, 15.0, 15.1, 100.0, 1e3, 1e4])
+def test_density_matches_direct_form_at_moderate_shapes(shape):
+    # up to shape 1e4 the direct log-density is itself accurate to ~6e-12
+    rate = 10.0 * shape
+    post = GibbsPosterior(ig=InverseGammaParams(shape, rate))
+    x = np.array([post.ppf(p) for p in _TV_LADDER])
+    direct = shape * math.log(rate) - sc.gammaln(shape) - (shape + 1.0) * np.log(x) - rate / x
+    np.testing.assert_allclose(np.log(post.pdf(x)), direct, rtol=0.0, atol=1e-11)
+
+
+def test_stirlerr_series_meets_direct_form_from_its_cutoff():
+    for a in np.linspace(15.0, 40.0, 26):
+        direct = math.lgamma(a) - (a - 0.5) * math.log(a) + a - 0.5 * math.log(2.0 * math.pi)
+        assert abs(_stirlerr(a) - direct) <= 2e-14
 
 
 def test_cdf_matches_scipy():
