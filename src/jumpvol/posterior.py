@@ -88,7 +88,7 @@ def _invgamma_pdf(x, shape: float, rate: float):
     log_scale = 0.5 * math.log(shape / (2.0 * math.pi)) - _stirlerr(shape)
     with np.errstate(over="ignore", divide="ignore"):
         # capped so that an overflowing ratio gives a zero density, not inf - inf
-        r = np.minimum(rate / (shape * xp), _FLOAT_MAX)
+        r = np.minimum((rate / shape) / xp, _FLOAT_MAX)
         out[pos] = np.exp(shape * (np.log(r) - (r - 1.0)) + log_scale) / xp
     return out if out.ndim else float(out)
 
@@ -192,8 +192,9 @@ class GibbsPosterior:
 class TruncatedPosterior:
     """A shifted posterior clipped to ``(0, inf)`` and renormalized.
 
-    A :class:`DegenerateInferenceError` is raised when no posterior mass is
-    left above zero.
+    A :class:`DegenerateInferenceError` is raised when the mass left above
+    zero is within :data:`QUANTILE_TOL`, the mass residual that the source's
+    quantiles may have: no quantile of the clipped law is resolved then.
     """
 
     source: GibbsPosterior
@@ -201,10 +202,10 @@ class TruncatedPosterior:
 
     def __post_init__(self):
         f0 = self.source.mass_below_zero
-        if not f0 < 1.0:
+        if not 1.0 - f0 > QUANTILE_TOL:
             raise DegenerateInferenceError(
                 f"mass_below_zero is {f0}: the shift {self.source.shift} leaves "
-                "no posterior mass above zero to truncate to"
+                f"at most {QUANTILE_TOL:.0e} of the posterior mass above zero"
             )
         object.__setattr__(self, "mass_below_zero", f0)
 
@@ -340,7 +341,7 @@ def gibbs_update(prior: InverseGammaParams, path: SamplePath, kappa: float) -> G
 
 
 def modify_posterior(post: GibbsPosterior, qv: QvEstimate, horizon: float) -> GibbsPosterior:
-    """The same law shifted left by ``jump_qv_hat / horizon``."""
+    """``post`` with its shift set to ``jump_qv_hat / horizon``."""
     if not (np.isfinite(horizon) and horizon > 0):
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
     return replace(post, shift=qv.jump_qv_hat / horizon)

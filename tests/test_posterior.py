@@ -250,7 +250,7 @@ def test_pdf_of_a_float_is_the_array_value():
     modified = modify_posterior(post, _qv(3.0), horizon=1.0)
     densities = (post, modified, modified.truncated_positive(), NormalApprox(9.0, 2.5))
     for dist in densities:
-        for x in (-4.0, -1e-3, 0.0, 1e-3, 2.5, 9.0, 14.0, 1e3):
+        for x in (-4.0, -1e-3, 0.0, 5e-324, 1e-3, 2.5, 9.0, 14.0, 1e3):
             value = dist.pdf(x)
             assert type(value) is float
             assert value == dist.pdf(np.array([x]))[0]
@@ -334,6 +334,16 @@ def test_truncated_positive_renormalizes():
     q = truncated.ppf(0.25)
     assert truncated.cdf(q) == pytest.approx(0.25, abs=1e-9)
     assert q > 0.0
+
+
+@pytest.mark.parametrize("shift", [1e7, 3e7, 1e8])
+def test_truncation_refuses_mass_above_zero_within_the_quantile_tolerance(shift):
+    # 1 - mass_below_zero is about 5e-15, 6e-16 and 0 here; at 3e7 the level
+    # 0.975 maps onto 1.0 in the source's mass scale
+    post = GibbsPosterior(ig=InverseGammaParams(2.0, 1.0), shift=shift)
+    assert post.mass_below_zero > 1.0 - QUANTILE_TOL
+    with pytest.raises(DegenerateInferenceError, match="mass_below_zero"):
+        post.truncated_positive()
 
 
 # ---------------------------------------------------------------------------
