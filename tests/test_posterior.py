@@ -261,7 +261,7 @@ def test_pdf_of_a_float_is_the_array_value():
 def test_density_integrates_to_one_at_large_shapes(log10_shape):
     # the TV rule's panels between the ladder quantiles hold 1 - 2e-14 of the
     # mass; a density with a shape-sized rounding error in its log misses
-    # that by up to 2e-6 at these shapes
+    # that by up to 1.6e-6 at these shapes
     shape = 10.0**log10_shape
     post = GibbsPosterior(ig=InverseGammaParams(shape, 10.0 * shape))
     nodes, weights = _gauss_legendre(np.array([post.ppf(p) for p in _TV_LADDER]))
