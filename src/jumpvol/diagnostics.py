@@ -42,11 +42,12 @@ _TV_ACCURACY = 1e-4
 #: Probability levels whose quantiles in each density, with the ends of the
 #: truncated support, break the TV integral into panels.  The first and last
 #: levels give each density's own support.
-_TV_LADDER = (
+_TV_LADDER = np.array([
     1e-14, 1e-10, 1e-6, 1e-4, 1e-3, 0.01, 0.02, 0.05,
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
     0.95, 0.98, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-14,
-)
+])
+_TV_LADDER.flags.writeable = False
 
 #: Gauss–Legendre nodes and weights on [-1, 1], applied on every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -103,8 +104,8 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _support_and_knots(dist):
-    knots = [dist.ppf(p) for p in _TV_LADDER]
-    lo, hi = knots[0], knots[-1]
+    knots = dist.ppf(_TV_LADDER)
+    lo, hi = float(knots[0]), float(knots[-1])
     grid = np.linspace(lo, hi, 1025)
     peak = float(np.max(dist.pdf(grid)))
     if not peak > 0:
@@ -112,22 +113,23 @@ def _support_and_knots(dist):
     return lo, hi, peak, knots
 
 
-def _gauss_legendre(edges: np.ndarray):
+def _gauss_legendre(left: np.ndarray, right: np.ndarray):
     """Nodes and weights of the Gauss–Legendre rule on every panel
-    ``[edges[k], edges[k + 1]]``, concatenated panel by panel."""
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    ``[left[k], right[k]]``, concatenated panel by panel."""
+    half = 0.5 * (right - left)[:, None]
+    mid = 0.5 * (left + right)[:, None]
     return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def tv_distance(density_a, density_b) -> float:
     """Total variation distance ``(1/2) \\int |f - g|`` by a fixed-node rule.
 
-    Both arguments must expose vectorized ``pdf`` and scalar ``ppf``.  The
-    integral runs over the union of the effective supports, truncating tails
-    where both densities are below 1e-12 of their peaks.  Panel breakpoints
-    are the ends of that range and each density's quantiles at the levels of
-    ``_TV_LADDER``; every panel gets a 16-point Gauss–Legendre rule, and both
+    Both arguments must expose ``pdf`` and ``ppf`` that take a float or an
+    array.  The integral runs over the union of the effective supports,
+    truncating tails where both densities are below 1e-12 of their peaks.
+    Panel breakpoints are the ends of that range and each density's
+    quantiles at the levels of ``_TV_LADDER``, all asked for in one ``ppf``
+    call; every panel gets a 16-point Gauss–Legendre rule, and both
     densities are evaluated once, on all nodes.  The same rule on the panels
     split in half gives the returned value; if the two rules disagree on
     either mass or on the TV by more than 1e-4, a :class:`NumericError` is
@@ -161,16 +163,20 @@ def tv_distance(density_a, density_b) -> float:
     else:
         raise NumericError("could not truncate the right tail below threshold")
 
-    edges = np.unique(np.clip([lo, hi] + knots_a + knots_b, lo, hi))
-    halves = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
-    x_coarse, w_coarse = _gauss_legendre(edges)
-    x_fine, w_fine = _gauss_legendre(halves)
-    x = np.concatenate([x_coarse, x_fine])
+    edges = np.unique(np.clip(np.concatenate(([lo, hi], knots_a, knots_b)), lo, hi))
+    # the coarse panels, then each of them split at its midpoint
+    halves = np.empty(2 * edges.size - 1)
+    halves[::2] = edges
+    halves[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    x, w = _gauss_legendre(
+        np.concatenate((edges[:-1], halves[:-1])), np.concatenate((edges[1:], halves[1:]))
+    )
     f = density_a.pdf(x)
     g = density_b.pdf(x)
     values = np.stack([f, g, np.abs(f - g)])
-    coarse = values[:, : x_coarse.size] @ w_coarse
-    fine = values[:, x_coarse.size :] @ w_fine
+    split = _GL_NODES.size * (edges.size - 1)
+    coarse = values[:, :split] @ w[:split]
+    fine = values[:, split:] @ w[split:]
     error = float(np.max(np.abs(coarse - fine)))
     if error > _TV_ACCURACY:
         raise NumericError(f"quadrature error {error:.2e} exceeds {_TV_ACCURACY:.0e}")

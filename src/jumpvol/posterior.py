@@ -81,15 +81,15 @@ def _invgamma_pdf(x, shape: float, rate: float):
     ``log r`` (not ``log1p(r - 1)``) keeps its precision far in the right
     tail, where ``r`` is tiny.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    xp = x[pos]
+    # a float becomes a numpy scalar, whose arithmetic costs less than a 0-d array's
+    x = np.asarray(x, dtype=float)[()]
     log_scale = 0.5 * math.log(shape / (2.0 * math.pi)) - _stirlerr(shape)
-    with np.errstate(over="ignore", divide="ignore"):
+    # evaluated everywhere, and replaced by 0 where x <= 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # capped so that an overflowing ratio gives a zero density, not inf - inf
-        r = np.minimum((rate / shape) / xp, _FLOAT_MAX)
-        out[pos] = np.exp(shape * (np.log(r) - (r - 1.0)) + log_scale) / xp
+        r = np.minimum((rate / shape) / x, _FLOAT_MAX)
+        density = np.exp(shape * (np.log(r) - (r - 1.0)) + log_scale) / x
+    out = np.where(x > 0, density, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -116,28 +116,46 @@ def _gammaincc_root(shape: float, q: float, y: float) -> float:
     return brentq(excess, max(y - step, 0.0), y + step)
 
 
-def _invgamma_ppf(q: float, shape: float, rate: float) -> float:
-    """Inverse-gamma quantile ``rate / Q^{-1}(shape, q)``, with ``Q`` the
-    regularized upper incomplete gamma function.
+def _levels(q) -> np.ndarray:
+    """Quantile levels as a float array, checked to lie in (0, 1); the
+    message names the first level outside.  Levels come a few at a time, and
+    a pass over them as floats costs less than array operations would."""
+    q = np.asarray(q, dtype=float)
+    for level in q.ravel().tolist():
+        if not 0.0 < level < 1.0:
+            raise ConfigurationError(f"quantile level must lie in (0, 1), got {level}")
+    return q
+
+
+def _invgamma_ppf(q, shape: float, rate: float):
+    """Inverse-gamma quantiles ``rate / Q^{-1}(shape, q)``, with ``Q`` the
+    regularized upper incomplete gamma function, at a float or an array of
+    levels ``q``; a float level gives a float.
 
     Where ``gammainccinv`` misses :data:`QUANTILE_TOL` (from shapes of about
     3.5e7 near ``q = 1 - 1e-6``), a bracketed root solve of the same residual
-    refines it; every other quantile is the closed form as is.
+    refines that element; every other quantile is the closed form as is.
     """
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError(f"quantile level must lie in (0, 1), got {q}")
-    y = float(sc.gammainccinv(shape, q))
-    x = rate / y if y > 0.0 else math.inf
-    residual = abs(float(sc.gammaincc(shape, rate / x)) - q)
-    if not residual <= QUANTILE_TOL and 0.0 < y < math.inf:
-        x = rate / _gammaincc_root(shape, q, y)
-        residual = abs(float(sc.gammaincc(shape, rate / x)) - q)
-    if not residual <= QUANTILE_TOL:
-        raise NumericError(
-            f"quantile out of tolerance: shape={shape}, rate={rate}, "
-            f"q={q}, x={x}, mass residual={residual:.3e}"
-        )
-    return x
+    q = _levels(q)
+    levels = q.ravel()
+    y = sc.gammainccinv(shape, levels)
+    # y is 0 or subnormal where the quantile overflows; Python's division
+    # gives x = +inf there without a floating-point warning
+    x = np.array([rate / v if v > 0.0 else math.inf for v in y.tolist()])
+    excess = (sc.gammaincc(shape, rate / x) - levels).tolist()
+    for i, e in enumerate(excess):
+        if abs(e) <= QUANTILE_TOL:
+            continue
+        level = float(levels[i])
+        if 0.0 < y[i] < math.inf:
+            x[i] = rate / _gammaincc_root(shape, level, float(y[i]))
+        residual = abs(float(sc.gammaincc(shape, rate / x[i])) - level)
+        if not residual <= QUANTILE_TOL:
+            raise NumericError(
+                f"quantile out of tolerance: shape={shape}, rate={rate}, "
+                f"q={level}, x={x[i]}, mass residual={residual:.3e}"
+            )
+    return x.reshape(q.shape) if q.ndim else float(x[0])
 
 
 @dataclass(frozen=True)
@@ -163,7 +181,7 @@ class GibbsPosterior:
     def cdf(self, x):
         return _invgamma_cdf(np.asarray(x, dtype=float) + self.shift, self.ig.shape, self.ig.rate)
 
-    def ppf(self, q: float) -> float:
+    def ppf(self, q):
         return _invgamma_ppf(q, self.ig.shape, self.ig.rate) - self.shift
 
     @property
@@ -220,9 +238,9 @@ class TruncatedPosterior:
         out = np.where(x > 0, np.clip((self.source.cdf(x) - f0) / (1.0 - f0), 0.0, 1.0), 0.0)
         return out if out.ndim else float(out)
 
-    def ppf(self, q: float) -> float:
+    def ppf(self, q):
         f0 = self.mass_below_zero
-        return self.source.ppf(f0 + q * (1.0 - f0))
+        return self.source.ppf(f0 + _levels(q) * (1.0 - f0))
 
 
 @dataclass(frozen=True)
@@ -249,8 +267,9 @@ class NormalApprox:
         out = sc.ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
         return out if out.ndim else float(out)
 
-    def ppf(self, q: float) -> float:
-        return self.mean + self.sd * float(sc.ndtri(q))
+    def ppf(self, q):
+        out = self.mean + self.sd * sc.ndtri(_levels(q))
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -348,11 +367,13 @@ def modify_posterior(post: GibbsPosterior, qv: QvEstimate, horizon: float) -> Gi
 
 
 def credible_interval(mod, level: float) -> CredibleInterval:
-    """Equal-tailed credible interval from any object exposing ``ppf``."""
+    """Equal-tailed credible interval from any object whose ``ppf`` takes an
+    array of levels."""
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"level must lie in (0, 1), got {level}")
     alpha = 1.0 - level
-    return CredibleInterval(level=level, lo=mod.ppf(alpha / 2.0), hi=mod.ppf(1.0 - alpha / 2.0))
+    lo, hi = mod.ppf(np.array([alpha / 2.0, 1.0 - alpha / 2.0])).tolist()
+    return CredibleInterval(level=level, lo=lo, hi=hi)
 
 
 def bvm_normal(theta_hat: float, qv: QvEstimate, horizon: float, n: int) -> NormalApprox:

@@ -131,6 +131,8 @@ class JumpSpec:
     def __post_init__(self):
         if not (np.isfinite(self.rate) and self.rate >= 0):
             raise ConfigurationError(f"jump rate must be >= 0, got {self.rate}")
+        if not isinstance(self.size_law, SizeLaw):
+            raise ConfigurationError(f"unknown jump size law {type(self.size_law).__name__}")
 
     @classmethod
     def two_point(cls, rate: float, tau: float) -> "JumpSpec":
@@ -167,6 +169,14 @@ class JumpRealization:
             if not np.all(np.isfinite(sizes)) or np.any(sizes == 0):
                 raise ConfigurationError("jump sizes must be finite and nonzero")
 
+    @classmethod
+    def _unchecked(cls, times: np.ndarray, sizes: np.ndarray) -> "JumpRealization":
+        """A realization from float arrays known to pass the checks above."""
+        jumps = object.__new__(cls)
+        object.__setattr__(jumps, "times", times)
+        object.__setattr__(jumps, "sizes", sizes)
+        return jumps
+
     def __len__(self) -> int:
         return int(self.times.size)
 
@@ -186,14 +196,16 @@ class PathTruth:
 
     mu: np.ndarray
     jump_qv: float = field(init=False)
-    jump_windows: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         nz = mu[mu != 0.0]
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "jump_qv", float(np.sum(nz * nz)))
-        object.__setattr__(self, "jump_windows", tuple(int(i) for i in np.flatnonzero(mu) + 1))
+
+    @property
+    def jump_windows(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.flatnonzero(self.mu) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,15 +256,19 @@ def simulate_jumps(spec: JumpSpec, horizon: float, seed: SeedLike = None) -> Jum
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(spec.rate * horizon))
     times = horizon * rng.random(count)
+    times.sort()
     # rng.random lives on [0, 1); redraw the (measure zero) endpoint hits so
     # every time lies strictly inside (0, horizon)
-    bad = (times <= 0.0) | (times >= horizon)
-    while np.any(bad):
-        times[bad] = horizon * rng.random(int(bad.sum()))
+    while count and (times[0] <= 0.0 or times[-1] >= horizon):
         bad = (times <= 0.0) | (times >= horizon)
-    times.sort()
-    sizes = spec.size_law.sample(rng, count)
-    return JumpRealization(times=times, sizes=sizes)
+        times[bad] = horizon * rng.random(int(bad.sum()))
+        times.sort()
+    # two draws may still tie; everything else JumpRealization checks holds
+    # by construction: the times are finite and sorted, and each size law
+    # that JumpSpec accepts draws finite nonzero sizes
+    if np.count_nonzero(times[1:] <= times[:-1]):
+        raise ConfigurationError("jump times must be strictly increasing")
+    return JumpRealization._unchecked(times, spec.size_law.sample(rng, count))
 
 
 def bin_jumps(jumps: JumpRealization, n: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,26 @@ from .errors import ConfigurationError, InsufficientDataError
 DEFAULT_IQR_MULTIPLIER = 5.0
 
 
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's linear interpolation: from ``a`` below ``t = 1/2``, from ``b``
+    at and above it."""
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _quartiles(values: np.ndarray) -> tuple[float, float]:
+    """``np.quantile(values, [0.25, 0.75])`` bit for bit, from one partition
+    of the 1-d float array ``values`` (at least 2 long), which is reordered."""
+    # (n - 1) / 4 and 3 (n - 1) / 4 as whole positions and quarters: numpy's
+    # virtual indices, which are exact in float64
+    lower, upper = divmod(values.size - 1, 4), divmod(3 * (values.size - 1), 4)
+    # the last element too: a NaN sorts there, and np.quantile answers NaN then
+    values.partition([lower[0], lower[0] + 1, upper[0], upper[0] + 1, -1])
+    if math.isnan(values[-1]):
+        return math.nan, math.nan
+    q1, q3 = (_lerp(float(values[k]), float(values[k + 1]), r / 4) for k, r in (lower, upper))
+    return q1, q3
+
+
 def interquartile_threshold(increments, multiplier: float = DEFAULT_IQR_MULTIPLIER) -> float:
     """Threshold ``eta = multiplier * IQR(|D_1|, ..., |D_n|)``.
 
@@ -32,8 +52,8 @@ def interquartile_threshold(increments, multiplier: float = DEFAULT_IQR_MULTIPLI
         raise InsufficientDataError(f"need at least 4 increments for the IQR rule, got {d.size}")
     if not (np.isfinite(multiplier) and multiplier > 0):
         raise ConfigurationError(f"IQR multiplier must be positive, got {multiplier}")
-    q1, q3 = np.quantile(np.abs(d), [0.25, 0.75])
-    spread = float(q3 - q1)
+    q1, q3 = _quartiles(np.abs(d.ravel()))
+    spread = q3 - q1
     if spread == 0.0:
         return math.inf
     return multiplier * spread

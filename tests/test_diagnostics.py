@@ -29,7 +29,13 @@ from jumpvol import (
     tempered_update,
     tv_distance,
 )
-from jumpvol.diagnostics import _bvm_distances
+from jumpvol.diagnostics import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _TAIL_FRACTION,
+    _TV_LADDER,
+    _bvm_distances,
+)
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -146,22 +152,22 @@ def _quad_tv(a, b) -> float:
     return 0.5 * value
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-@pytest.mark.parametrize(
-    "n, rate, tau, kind",
-    [
-        (40, 5.0, 3.0, "tempered"),
-        (40, 32.0, 1.0, "shifted"),
-        (40, 16.0, 8.0, "truncated"),
-        (1000, 5.0, 3.0, "shifted"),
-        (1000, 32.0, 1.0, "truncated"),
-        (1000, 16.0, 8.0, "tempered"),
-        (16000, 5.0, 3.0, "truncated"),
-        (16000, 32.0, 1.0, "tempered"),
-        (16000, 16.0, 8.0, "shifted"),
-    ],
-)
-def test_tv_matches_adaptive_quadrature(n, rate, tau, kind):
+#: (n, rate, tau, posterior) settings that span the posterior shapes and
+#: kinds ``diag bvm`` meets.
+_TV_SETTINGS = [
+    (40, 5.0, 3.0, "tempered"),
+    (40, 32.0, 1.0, "shifted"),
+    (40, 16.0, 8.0, "truncated"),
+    (1000, 5.0, 3.0, "shifted"),
+    (1000, 32.0, 1.0, "truncated"),
+    (1000, 16.0, 8.0, "tempered"),
+    (16000, 5.0, 3.0, "truncated"),
+    (16000, 32.0, 1.0, "tempered"),
+    (16000, 16.0, 8.0, "shifted"),
+]
+
+
+def _posterior_and_limit(n, rate, tau, kind):
     path = simulate_path(DIFF, JumpSpec.two_point(rate, tau), n, seed=derive_seed(7, n, int(rate)))
     truth = TruthSummary.from_path(DIFF, path)
     inf = infer_increments(path.increments, path.horizon, ThresholdRule.iqr(), PRIOR)
@@ -171,6 +177,13 @@ def test_tv_matches_adaptive_quadrature(n, rate, tau, kind):
     else:
         dist = inf.modified if kind == "shifted" else inf.modified.truncated_positive()
         limit = NormalApprox(inf.theta_hat - inf.modified.shift, 2.0 * truth.theta_star**2 / n)
+    return dist, limit
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n, rate, tau, kind", _TV_SETTINGS)
+def test_tv_matches_adaptive_quadrature(n, rate, tau, kind):
+    dist, limit = _posterior_and_limit(n, rate, tau, kind)
     assert tv_distance(dist, limit) == pytest.approx(_quad_tv(dist, limit), abs=1e-4)
 
 
@@ -184,6 +197,87 @@ def test_tv_of_truncated_posterior_with_mass_below_zero():
         assert tv_distance(truncated, limit) == pytest.approx(
             _quad_tv(truncated, limit), abs=1e-4
         )
+
+
+def _scalar_tv(density_a, density_b) -> float:
+    """The TV rule as it was with one float ``ppf`` call per ladder level, and
+    coarse and fine nodes built apart, the fine edges by ``np.insert``; its
+    accuracy and mass guards are left out, as they do not touch the value."""
+
+    def support_and_knots(dist):
+        knots = [dist.ppf(float(p)) for p in _TV_LADDER]
+        lo, hi = knots[0], knots[-1]
+        return lo, hi, float(np.max(dist.pdf(np.linspace(lo, hi, 1025)))), knots
+
+    def gauss_legendre(edges):
+        half = 0.5 * np.diff(edges)[:, None]
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+    lo_a, hi_a, peak_a, knots_a = support_and_knots(density_a)
+    lo_b, hi_b, peak_b, knots_b = support_and_knots(density_b)
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
+
+    def tails_dead(x):
+        return (
+            float(density_a.pdf(x)) < _TAIL_FRACTION * peak_a
+            and float(density_b.pdf(x)) < _TAIL_FRACTION * peak_b
+        )
+
+    span = hi - lo
+    while not tails_dead(lo):
+        lo -= 0.25 * span
+        span = hi - lo
+    while not tails_dead(hi):
+        hi += 0.25 * span
+        span = hi - lo
+    edges = np.unique(np.clip([lo, hi] + knots_a + knots_b, lo, hi))
+    halves = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+    x_coarse, _ = gauss_legendre(edges)
+    x_fine, w_fine = gauss_legendre(halves)
+    x = np.concatenate([x_coarse, x_fine])
+    f, g = density_a.pdf(x), density_b.pdf(x)
+    values = np.stack([f, g, np.abs(f - g)])
+    l1 = float((values[:, x_coarse.size :] @ w_fine)[2])
+    return min(max(0.5 * l1, 0.0), 1.0)
+
+
+class _Unit:
+    """The uniform law on [0, 1], counting its float ``pdf`` calls: its density
+    is alive at both ends of its quantile range, so the TV rule has to extend
+    both tails past them."""
+
+    def __init__(self):
+        self.float_calls = 0
+
+    def pdf(self, x):
+        self.float_calls += isinstance(x, float)
+        x = np.asarray(x, dtype=float)
+        out = np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
+        return out if out.ndim else float(out)
+
+    def ppf(self, q):
+        return q
+
+
+@pytest.mark.parametrize("n, rate, tau, kind", _TV_SETTINGS)
+def test_tv_is_the_scalar_rule_bit_for_bit(n, rate, tau, kind):
+    dist, limit = _posterior_and_limit(n, rate, tau, kind)
+    assert tv_distance(dist, limit) == _scalar_tv(dist, limit)
+    assert tv_distance(limit, dist) == _scalar_tv(limit, dist)
+
+
+def test_tv_is_the_scalar_rule_bit_for_bit_with_mass_below_zero_and_live_tails():
+    post = tempered_update(PRIOR, n=6, theta_hat=1.0, kappa=1.0)
+    truncated = GibbsPosterior(ig=post.ig, shift=1.5).truncated_positive()
+    for limit in (NormalApprox(0.2, 0.3), NormalApprox(1.0, 4.0)):
+        assert tv_distance(truncated, limit) == _scalar_tv(truncated, limit)
+    narrow = NormalApprox(0.5, 0.05**2)
+    unit = _Unit()
+    tv = tv_distance(unit, narrow)
+    # two probes at the ends of the quantile range, and one more past each
+    assert unit.float_calls == 4
+    assert tv == _scalar_tv(_Unit(), narrow)
 
 
 # ---------------------------------------------------------------------------

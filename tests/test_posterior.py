@@ -18,6 +18,7 @@ from jumpvol import (
     InverseGammaParams,
     JumpSpec,
     NormalApprox,
+    NumericError,
     QvEstimate,
     SamplePath,
     ThresholdRule,
@@ -34,7 +35,7 @@ from jumpvol import (
     tempered_update,
 )
 from jumpvol.diagnostics import _TV_LADDER, _gauss_legendre
-from jumpvol.posterior import QUANTILE_TOL, _stirlerr
+from jumpvol.posterior import QUANTILE_TOL, TruncatedPosterior, _gammaincc_root, _stirlerr
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -245,6 +246,92 @@ def test_quantile_mass_residual_at_large_shapes(shape, q):
         assert x == closed_form
 
 
+def _scalar_invgamma_ppf(q: float, shape: float, rate: float) -> float:
+    """The inverse-gamma quantile computed one level at a time, as it was
+    before ``ppf`` took arrays."""
+    if not 0.0 < q < 1.0:
+        raise ConfigurationError(f"quantile level must lie in (0, 1), got {q}")
+    y = float(sc.gammainccinv(shape, q))
+    x = rate / y if y > 0.0 else math.inf
+    residual = abs(float(sc.gammaincc(shape, rate / x)) - q)
+    if not residual <= QUANTILE_TOL and 0.0 < y < math.inf:
+        x = rate / _gammaincc_root(shape, q, y)
+        residual = abs(float(sc.gammaincc(shape, rate / x)) - q)
+    if not residual <= QUANTILE_TOL:
+        raise NumericError(f"quantile out of tolerance at q={q}")
+    return x
+
+
+def _scalar_quantile(law, q: float) -> float:
+    if isinstance(law, NormalApprox):
+        return law.mean + law.sd * float(sc.ndtri(q))
+    if isinstance(law, TruncatedPosterior):
+        f0 = law.mass_below_zero
+        return _scalar_quantile(law.source, f0 + q * (1.0 - f0))
+    return _scalar_invgamma_ppf(q, law.ig.shape, law.ig.rate) - law.shift
+
+
+@pytest.mark.parametrize("shape", [2.0, 50.0, 1e4, 3.5e7, 1e8, 2.4e8])
+def test_array_quantiles_are_the_scalar_ones_bit_for_bit(shape):
+    rate = 1.7e3 * shape
+    ig = InverseGammaParams(shape, rate)
+    mean = rate / (shape - 1.0)
+    laws = [
+        GibbsPosterior(ig),
+        GibbsPosterior(ig, shift=0.5 * mean),
+        GibbsPosterior(ig, shift=mean).truncated_positive(),
+        NormalApprox(mean, 2.0 * mean**2 / shape),
+    ]
+    if shape >= 3.5e7:
+        # the closed form misses the mass tolerance at some ladder level, so
+        # the elementwise refinement runs
+        closed = rate / sc.gammainccinv(shape, _TV_LADDER)
+        assert np.any(np.abs(sc.gammaincc(shape, rate / closed) - _TV_LADDER) > QUANTILE_TOL)
+    for law in laws:
+        expected = np.array([_scalar_quantile(law, float(q)) for q in _TV_LADDER])
+        assert law.ppf(_TV_LADDER).tobytes() == expected.tobytes()
+        assert law.ppf(_TV_LADDER.reshape(5, 5)).tobytes() == expected.tobytes()
+        for q, x in zip(_TV_LADDER[::6], expected[::6]):
+            value = law.ppf(float(q))
+            assert type(value) is float and value == x
+
+
+_LAWS = {
+    "normal": NormalApprox(0.0, 1.0),
+    "gibbs": GibbsPosterior(InverseGammaParams(3.0, 2.0)),
+    "shifted": GibbsPosterior(InverseGammaParams(3.0, 2.0), shift=1.0),
+    "truncated": GibbsPosterior(InverseGammaParams(3.0, 2.0), shift=1.0).truncated_positive(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAWS))
+@pytest.mark.parametrize(
+    "levels, first_bad",
+    [
+        (1.5, "1.5"),
+        (0.0, "0.0"),
+        (1.0, "1.0"),
+        (-0.1, "-0.1"),
+        (math.nan, "nan"),
+        ([0.5, -0.1, 2.0], "-0.1"),
+        ([[0.2, 0.3], [1.0, -1.0]], "1.0"),
+    ],
+)
+def test_ppf_names_the_first_level_outside_the_unit_interval(name, levels, first_bad):
+    with pytest.raises(ConfigurationError, match=f"must lie in \\(0, 1\\), got {first_bad}$"):
+        _LAWS[name].ppf(levels)
+
+
+def test_truncated_quantile_of_a_negative_level_is_refused():
+    # mapped onto the source's levels first, -0.1 would land on 0.645, and
+    # the quantile of that is below zero
+    truncated = _LAWS["truncated"]
+    assert truncated.mass_below_zero == pytest.approx(0.677, abs=1e-3)
+    with pytest.raises(ConfigurationError, match="got -0.1$"):
+        truncated.ppf(-0.1)
+    assert truncated.ppf(0.01) > 0.0
+
+
 def test_pdf_of_a_float_is_the_array_value():
     post = tempered_update(PRIOR, n=40, theta_hat=12.0, kappa=0.4)
     modified = modify_posterior(post, _qv(3.0), horizon=1.0)
@@ -264,7 +351,8 @@ def test_density_integrates_to_one_at_large_shapes(log10_shape):
     # that by up to 1.6e-6 at these shapes
     shape = 10.0**log10_shape
     post = GibbsPosterior(ig=InverseGammaParams(shape, 10.0 * shape))
-    nodes, weights = _gauss_legendre(np.array([post.ppf(p) for p in _TV_LADDER]))
+    knots = post.ppf(_TV_LADDER)
+    nodes, weights = _gauss_legendre(knots[:-1], knots[1:])
     assert abs(post.pdf(nodes) @ weights - 1.0) <= 1e-9
 
 

@@ -40,6 +40,9 @@ def test_invalid_specs_rejected():
         SizeTable(values=(1.0, 2.0), probs=(0.6, 0.5))
     with pytest.raises(ConfigurationError):
         SizeTable(values=(1.0, 0.0), probs=(0.5, 0.5))
+    # simulate_jumps trusts the sizes that a library size law draws
+    with pytest.raises(ConfigurationError, match="unknown jump size law"):
+        JumpSpec(rate=5.0, size_law=3.0)
 
 
 def test_size_table_accepts_exact_probabilities():

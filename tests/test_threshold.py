@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpvol import (
     ConfigurationError,
@@ -15,6 +17,7 @@ from jumpvol import (
     qv_error_rate,
     simulate_path,
 )
+from jumpvol.threshold import _quartiles
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -59,6 +62,40 @@ def test_iqr_scale_equivariance():
         hat = estimate_jump_qv(d, eta).jump_qv_hat
         hat_scaled = estimate_jump_qv(s * d, s * eta).jump_qv_hat
         assert hat_scaled == pytest.approx(s * s * hat, rel=1e-12)
+
+
+#: Values the quartile property mixes into normal draws: signed zeros,
+#: subnormals, the normal-range boundary, and magnitudes near 1e300.
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    n=st.integers(4, 10_000),
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.lists(
+        st.sampled_from(_SPECIAL_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    ),
+    share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+)
+def test_partition_quartiles_are_np_quantile_bit_for_bit(n, seed, pool, share):
+    # a share of the increments comes from a small pool, so ties are common
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n)
+    tied = rng.random(n) < share
+    d[tied] = rng.choice(np.array(pool), int(tied.sum()))
+    magnitudes = np.abs(d)
+    expected = np.quantile(magnitudes, [0.25, 0.75])
+    assert np.array(_quartiles(magnitudes.copy())).tobytes() == expected.tobytes()
+    spread = float(expected[1] - expected[0])
+    assert interquartile_threshold(d, 5.0) == (math.inf if spread == 0.0 else 5.0 * spread)
+
+
+def test_quartiles_of_magnitudes_with_a_nan_are_nan():
+    # np.quantile answers NaN for both quartiles then, and so the threshold is NaN
+    assert math.isnan(interquartile_threshold([1.0, -2.0, math.nan, 4.0, 5.0]))
 
 
 # ---------------------------------------------------------------------------
