@@ -38,6 +38,8 @@ from .simulate import (
     JumpSpec,
     SizeTable,
     TwoPointSizes,
+    _check_length,
+    _opened,
     read_increments_csv,
     simulate_jumps,
     simulate_path,
@@ -282,8 +284,8 @@ def _configure(args) -> SimpleNamespace:
     """The command's settings from its table, its flags and ``--config``.
     A seed comes from ``JUMPVOL_SEED``, else ``--seed``, else the config,
     else ``DEFAULT_SEED``."""
-    command = f"diag {args.diag_command}" if args.command == "diag" else args.command
-    settings = _resolve(_SCHEMAS[command], _load_config(args.config), f"{command} config", args)
+    schema = args.schema
+    settings = _resolve(_SCHEMAS[schema], _load_config(args.config), f"{schema} config", args)
     env = os.environ.get("JUMPVOL_SEED")
     if "seed" in settings and env is not None:
         try:
@@ -294,20 +296,19 @@ def _configure(args) -> SimpleNamespace:
     return SimpleNamespace(**settings)
 
 
-def _check_out(out: str) -> str:
-    if out != "-":
-        parent = Path(out).resolve().parent
-        if not parent.is_dir():
-            raise ConfigurationError(f"output directory does not exist: {parent}")
+def _check_out(out: str):
+    """Where ``out`` is written: stdout for ``-``, else the checked path."""
+    if out == "-":
+        return sys.stdout
+    parent = Path(out).resolve().parent
+    if not parent.is_dir():
+        raise ConfigurationError(f"output directory does not exist: {parent}")
     return out
 
 
-def _write_text(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
+def _write_text(out, text: str) -> None:
+    with _opened(out, "w") as handle:
+        handle.write(text)
 
 
 def _diag_csv(rows) -> str:
@@ -332,7 +333,7 @@ def cmd_simulate(args) -> int:
         jumps = replace(jumps, size_law=TwoPointSizes(args.tau))
     out = _check_out(cfg.out)
     path = simulate_path(diff, jumps, cfg.n, seed=cfg.seed)
-    write_increments_csv(sys.stdout if out == "-" else out, path, with_truth=cfg.with_truth)
+    write_increments_csv(out, path, with_truth=cfg.with_truth)
     return 0
 
 
@@ -345,9 +346,10 @@ def cmd_infer(args) -> int:
     if density_grid is not None:
         if density_grid < 2:
             raise ConfigurationError(f"density grid needs at least 2 points, got {density_grid}")
+        _check_length(density_grid, "density grid")
         if cfg.density_out is None:
             raise ConfigurationError("density output path required when density_grid is set")
-        _check_out(cfg.density_out)
+        density_out = _check_out(cfg.density_out)
 
     data = read_increments_csv(sys.stdin if cfg.input == "-" else cfg.input)
     horizon = cfg.horizon
@@ -368,15 +370,15 @@ def cmd_infer(args) -> int:
         "interval": {"level": cfg.level, "lo": interval.lo, "hi": interval.hi},
         "bvm": {"mean": approx.mean, "variance": approx.variance},
     }
-    _write_text(out, json.dumps(record, indent=2) + "\n")
-
+    texts = [(out, json.dumps(record, indent=2) + "\n")]
     if density_grid is not None:
         # grid spans the central 99.9% posterior mass
         grid = np.linspace(dist.ppf(0.0005), dist.ppf(0.9995), density_grid)
-        density = dist.pdf(grid)
         lines = ["theta,density"]
-        lines.extend(f"{float(t)!r},{float(p)!r}" for t, p in zip(grid, density))
-        _write_text(cfg.density_out, "\n".join(lines) + "\n")
+        lines.extend(f"{float(t)!r},{float(p)!r}" for t, p in zip(grid, dist.pdf(grid)))
+        texts.append((density_out, "\n".join(lines) + "\n"))
+    for sink, text in texts:  # nothing is written until everything is computed
+        _write_text(sink, text)
     return 0
 
 
@@ -395,57 +397,33 @@ def cmd_coverage(args) -> int:
         base_seed=cfg.seed,
     )
     rows = run_coverage(coverage_config, workers=cfg.workers)
-    write_coverage_csv(sys.stdout if out == "-" else out, rows)
+    write_coverage_csv(out, rows)
     return 0
 
 
-def cmd_diag(args) -> int:
-    sub = args.diag_command
-    cfg = _configure(args)
-    out = _check_out(cfg.out)
-
-    if sub == "sandwich":
-        truth = TruthSummary(cfg.theta_star, cfg.jump_qv, cfg.horizon)
-        value = sandwich_variance(truth, cfg.n)
-        _write_text(out, _diag_csv([(cfg.n, "sandwich_variance", value, None)]))
-        return 0
-
+def _bvm_rows(cfg):
     diff, jumps = cfg.model
-    if sub == "bvm":
-        rows = bvm_convergence_check(
-            diff,
-            jumps,
-            cfg.n_grid,
-            cfg.reps,
-            cfg.seed,
-            prior=cfg.prior,
-            threshold=cfg.threshold,
-        )
-        table = []
-        for row in rows:
-            table.append((row.n, "tv_tempered", row.tv_tempered, row.tv_tempered_stderr))
-            table.append((row.n, "tv_modified", row.tv_modified, row.tv_modified_stderr))
-        _write_text(out, _diag_csv(table))
-        return 0
+    rows = bvm_convergence_check(
+        diff, jumps, cfg.n_grid, cfg.reps, cfg.seed, prior=cfg.prior, threshold=cfg.threshold
+    )
+    for row in rows:
+        yield row.n, "tv_tempered", row.tv_tempered, row.tv_tempered_stderr
+        yield row.n, "tv_modified", row.tv_modified, row.tv_modified_stderr
 
-    if sub == "qvrate":
-        result = qv_error_rate(
-            diff, jumps, cfg.n_grid, cfg.reps, cfg.seed, threshold=cfg.threshold
-        )
-        table = [
-            (n, "qv_mae", mae, stderr)
-            for n, mae, stderr in zip(result.n_grid, result.mae, result.mae_stderr)
-        ]
-        table.append((None, "qv_mae_log_slope", result.slope, None))
-        _write_text(out, _diag_csv(table))
-        return 0
 
-    # mse: one fixed jump realization, diffusion redrawn per replication
+def _sandwich_rows(cfg):
+    truth = TruthSummary(cfg.theta_star, cfg.jump_qv, cfg.horizon)
+    yield cfg.n, "sandwich_variance", sandwich_variance(truth, cfg.n), None
+
+
+def _mse_rows(cfg):
+    # one fixed jump realization, diffusion redrawn per replication
+    diff, jumps = cfg.model
     n = cfg.n
     jumps_seed = cfg.jumps_seed if cfg.jumps_seed is not None else cfg.seed + 1
     fixed = simulate_jumps(jumps, diff.horizon, seed=jumps_seed)
     result = mse_oracle(diff, fixed, n, cfg.reps, cfg.seed)
-    table = [
+    return [
         (n, "theta_dagger", result.theta_dagger, None),
         (n, "empirical_mse", result.empirical_mse, result.empirical_mse_stderr),
         (n, "empirical_variance", result.empirical_variance, result.empirical_variance_stderr),
@@ -454,13 +432,70 @@ def cmd_diag(args) -> int:
         (n, "mse_vs_product_form", result.product_form_discrepancy, None),
         (n, "mse_vs_sandwich", result.sandwich_discrepancy, None),
     ]
-    _write_text(out, _diag_csv(table))
+
+
+def _qvrate_rows(cfg):
+    diff, jumps = cfg.model
+    result = qv_error_rate(diff, jumps, cfg.n_grid, cfg.reps, cfg.seed, threshold=cfg.threshold)
+    for n, mae, stderr in zip(result.n_grid, result.mae, result.mae_stderr):
+        yield n, "qv_mae", mae, stderr
+    yield None, "qv_mae_log_slope", result.slope, None
+
+
+#: Each diagnostic's help and its ``(n, statistic, value, mc_stderr)`` rows.
+_DIAGS = {
+    "bvm": ("mean TV distance of the posteriors to their normal limits", _bvm_rows),
+    "sandwich": ("sandwich variance of the jump-blind estimator", _sandwich_rows),
+    "mse": ("conditional Monte Carlo MSE of the jump-blind estimator", _mse_rows),
+    "qvrate": ("error rate of the thresholded jump QV estimator", _qvrate_rows),
+}
+
+
+def cmd_diag(args) -> int:
+    cfg = _configure(args)
+    out = _check_out(cfg.out)
+    _write_text(out, _diag_csv(_DIAGS[args.diag_command][1](cfg)))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
+
+#: The help of each config key that has a flag; see ``_add_command``.
+_FLAGS = {
+    "input": "increments CSV path, or - for stdin",
+    "out": "output path, or - for stdout",
+    "n": "number of increments",
+    "reps": "replications",
+    "seed": "RNG seed",
+    "threshold": "threshold rule, e.g. iqr:5 or fixed:0.5",
+    "level": "credible level",
+    "with_truth": "include the mu_i column",
+    "truncate_positive": "clip the shifted posterior to (0, inf) and renormalize",
+    "density_grid": "emit this many (theta, density) rows",
+    "density_out": "CSV path for the density grid",
+    "workers": "parallel workers (output-invariant)",
+}
+
+# how a flag of each schema type parses (else as a string); a flag left unset
+# is None, so the config value or the default applies
+_FLAG_KINDS = {_int: {"type": int}, _seed: {"type": int}, _float: {"type": float},
+               _bool: {"action": "store_true", "default": None}}
+
+
+def _add_command(commands, schema: str, summary: str, func):
+    """The subparser for ``_SCHEMAS[schema]``, named by its last word: its flags
+    are ``--config`` and one for each of its keys in ``_FLAGS``."""
+    parser = commands.add_parser(schema.split()[-1], help=summary)
+    parser.add_argument("--config", help="JSON config file")
+    for key, (kind, _) in _SCHEMAS[schema].items():
+        if key in _FLAGS:
+            flag = "--" + key.replace("_", "-")
+            parser.add_argument(flag, help=_FLAGS[key], **_FLAG_KINDS.get(kind, {}))
+    parser.set_defaults(func=func, schema=schema)
+    return parser
+
 
 class _MisplacedDiagFlag(argparse.Action):
     """A ``diag`` flag given before the diagnostic's name."""
@@ -477,68 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a flag left unset is None, so the config value or the default applies
-    sim = sub.add_parser("simulate", help="simulate increments and write them as CSV")
-    sim.add_argument("--config", help="JSON config file")
-    sim.add_argument("--out", help="output CSV path, or - for stdout")
-    sim.add_argument("--n", type=int, help="number of increments")
-    sim.add_argument("--seed", type=int, help="RNG seed")
+    sim = _add_command(sub, "simulate", "simulate increments and write them as CSV", cmd_simulate)
     sim.add_argument("--rate", type=float, help="jumps per unit time")
     sim.add_argument("--tau", type=float, help="two-point jump magnitude")
-    sim.add_argument(
-        "--with-truth", action="store_true", default=None, help="include the mu_i column"
-    )
-    sim.set_defaults(func=cmd_simulate)
-
-    inf = sub.add_parser("infer", help="run the inference pipeline on an increments CSV")
-    inf.add_argument("--config", help="JSON config file")
-    inf.add_argument("--input", help="increments CSV path, or - for stdin")
-    inf.add_argument("--out", help="output JSON path, or - for stdout")
-    inf.add_argument("--threshold", help="threshold rule, e.g. iqr:5 or fixed:0.5")
-    inf.add_argument("--level", type=float, help="credible level (default 0.95)")
+    inf = _add_command(sub, "infer", "run the inference pipeline on an increments CSV", cmd_infer)
     inf.add_argument("--horizon", type=float, help="observation horizon T")
-    inf.add_argument(
-        "--truncate-positive",
-        action="store_true",
-        default=None,
-        help="clip the shifted posterior to (0, inf) and renormalize",
-    )
-    inf.add_argument("--density-grid", type=int, help="emit this many (theta, density) rows")
-    inf.add_argument("--density-out", help="CSV path for the density grid")
-    inf.set_defaults(func=cmd_infer)
-
-    cov = sub.add_parser("coverage", help="empirical coverage over a (rate, size, n) grid")
-    cov.add_argument("--config", help="JSON config file")
-    cov.add_argument("--out", help="output CSV path, or - for stdout")
-    cov.add_argument("--reps", type=int, help="replications per cell")
-    cov.add_argument("--seed", type=int, help="base seed")
-    cov.add_argument("--level", type=float, help="credible level")
-    cov.add_argument("--threshold", help="threshold rule")
-    cov.add_argument("--workers", type=int, help="parallel workers (output-invariant)")
-    cov.set_defaults(func=cmd_coverage)
+    _add_command(sub, "coverage", "empirical coverage over a (rate, size, n) grid", cmd_coverage)
 
     diag = sub.add_parser("diag", help="asymptotic-claim diagnostics")
-    diag.set_defaults(func=cmd_diag)
     for flag in ("--config", "--out", "--n", "--reps", "--seed", "--threshold"):
         diag.add_argument(
             flag, action=_MisplacedDiagFlag, default=argparse.SUPPRESS, help=argparse.SUPPRESS
         )
     diags = diag.add_subparsers(dest="diag_command", required=True)
-    for name, summary in (
-        ("bvm", "mean TV distance of the posteriors to their normal limits"),
-        ("sandwich", "sandwich variance of the jump-blind estimator"),
-        ("mse", "conditional Monte Carlo MSE of the jump-blind estimator"),
-        ("qvrate", "error rate of the thresholded jump QV estimator"),
-    ):
-        command = diags.add_parser(name, help=summary)
-        command.add_argument("--config", help="JSON config file")
-        command.add_argument("--out", help="output CSV path, or - for stdout")
-        keys = _SCHEMAS[f"diag {name}"]  # flags only for this diagnostic's own keys
-        for key, text in (("n", "sample size"), ("reps", "replications"), ("seed", "base seed")):
-            if key in keys:
-                command.add_argument("--" + key, type=int, help=text)
-        if "threshold" in keys:
-            command.add_argument("--threshold", help="threshold rule")
+    for name, (summary, _) in _DIAGS.items():
+        _add_command(diags, f"diag {name}", summary, cmd_diag)
 
     return parser
 

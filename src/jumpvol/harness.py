@@ -14,12 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, product
-from pathlib import Path
 
 from .errors import ConfigurationError, DegenerateInferenceError
 from .posterior import InverseGammaParams, credible_interval, infer_increments
 from .seeds import derive_seed
-from .simulate import DiffusionSpec, JumpSpec, simulate_path
+from .simulate import DiffusionSpec, JumpSpec, _opened, simulate_path
 from .threshold import ThresholdRule
 
 COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerate_count"
@@ -155,15 +154,10 @@ def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
 
 def write_coverage_csv(file, rows: list[CoverageRow]) -> None:
     """Write coverage rows with the fixed column order."""
-    own = isinstance(file, (str, Path))
-    handle = open(file, "w", newline="") if own else file
-    try:
+    with _opened(file, "w") as handle:
         handle.write(COVERAGE_CSV_HEADER + "\n")
         for row in rows:
             handle.write(
                 f"{row.lam!r},{row.tau!r},{row.n},{row.reps},{row.coverage!r},"
                 f"{row.mean_width!r},{row.mc_stderr!r},{row.degenerate_count}\n"
             )
-    finally:
-        if own:
-            handle.close()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -30,6 +31,17 @@ import numpy as np
 from .errors import ConfigurationError
 
 SeedLike = Union[int, np.random.SeedSequence, None]
+
+#: The largest mean that numpy's Poisson sampler takes, and the most 8-byte
+#: elements that one numpy array can hold.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+_MAX_LENGTH = np.iinfo(np.intp).max // 8
+
+
+def _check_length(length: int, what: str) -> None:
+    """Refuse a length that no float64 array can hold, where numpy raises a bare ValueError."""
+    if length > _MAX_LENGTH:
+        raise ConfigurationError(f"{what} is {length}, more than an array can hold ({_MAX_LENGTH})")
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +265,12 @@ def simulate_jumps(spec: JumpSpec, horizon: float, seed: SeedLike = None) -> Jum
         raise ConfigurationError(f"expected a JumpSpec, got {type(spec).__name__}")
     if not (np.isfinite(horizon) and horizon > 0):
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    mean = float(spec.rate * horizon)
+    if not mean <= _POISSON_LAM_MAX:
+        raise ConfigurationError(f"rate * horizon is {mean!r}, above the Poisson limit")
     rng = np.random.default_rng(seed)
-    count = int(rng.poisson(spec.rate * horizon))
+    count = int(rng.poisson(mean))
+    _check_length(count, f"the jump count drawn for rate * horizon = {mean!r}")
     times = horizon * rng.random(count)
     times.sort()
     # rng.random lives on [0, 1); redraw the (measure zero) endpoint hits so
@@ -279,6 +295,7 @@ def bin_jumps(jumps: JumpRealization, n: int, horizon: float) -> tuple[np.ndarra
     """
     if n < 1:
         raise ConfigurationError(f"need at least one window, got n={n}")
+    _check_length(n, "n")
     mu = np.zeros(n)
     counts = np.zeros(n, dtype=int)
     if len(jumps):
@@ -341,6 +358,13 @@ _GRID_RTOL = 1e-6
 _RESCAN_BLOCK_ROWS = 4096
 
 
+def _opened(file, mode: str):
+    """A context manager giving a stream as it is, or a path opened in ``mode``."""
+    if not isinstance(file, (str, Path)):
+        return nullcontext(file)
+    return open(file, mode, newline="" if mode == "w" else None)
+
+
 def write_increments_csv(file, path: SamplePath, with_truth: bool = False) -> None:
     """Write a path as ``index,t_i,D_i[,mu_i]`` rows, with ``t_i = i * delta``.
 
@@ -352,9 +376,7 @@ def write_increments_csv(file, path: SamplePath, with_truth: bool = False) -> No
     if with_truth and path.truth is None:
         raise ConfigurationError("path carries no truth; cannot write mu_i column")
     columns = [path.increments, path.truth.mu] if with_truth else [path.increments]
-    own = isinstance(file, (str, Path))
-    handle = open(file, "w", newline="") if own else file
-    try:
+    with _opened(file, "w") as handle:
         handle.write("index,t_i,D_i,mu_i\n" if with_truth else "index,t_i,D_i\n")
         for start in range(0, path.n, _WRITE_CHUNK_ROWS):
             stop = min(start + _WRITE_CHUNK_ROWS, path.n)
@@ -363,9 +385,6 @@ def write_increments_csv(file, path: SamplePath, with_truth: bool = False) -> No
             cells.extend(map(repr, column[start:stop].tolist()) for column in columns)
             handle.write("\n".join(map(",".join, zip(*cells))))
             handle.write("\n")
-    finally:
-        if own:
-            handle.close()
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,17 +407,13 @@ def read_increments_csv(file) -> IncrementData:
     within ``1e-6`` of a step.  Empty lines are skipped.  A violation
     raises :class:`ConfigurationError` naming the first bad 1-based data row.
     """
-    own = isinstance(file, (str, Path))
-    handle = open(file, "r") if own else file
-    try:
-        # the error path rereads the body, so a stream that cannot seek is
-        # buffered first
-        return _read_increments(handle if handle.seekable() else io.StringIO(handle.read()))
-    except UnicodeDecodeError as err:
-        raise ConfigurationError(f"increments file cannot be decoded as text: {err}") from err
-    finally:
-        if own:
-            handle.close()
+    with _opened(file, "r") as handle:
+        try:
+            # the error path rereads the body, so a stream that cannot seek
+            # is buffered first
+            return _read_increments(handle if handle.seekable() else io.StringIO(handle.read()))
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"increments file cannot be decoded as text: {err}") from err
 
 
 def _read_increments(handle) -> IncrementData:

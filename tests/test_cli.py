@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -26,10 +27,11 @@ from jumpvol import (
     simulate_jumps,
     simulate_path,
     DiffusionSpec,
+    GibbsPosterior,
     JumpSpec,
     NumericError,
 )
-from jumpvol.cli import _SCHEMAS, main
+from jumpvol.cli import _SCHEMAS, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -630,6 +632,24 @@ def test_infer_density_arguments_checked_before_output(flags, message, tmp_path,
     assert not out.exists()
 
 
+def test_infer_writes_nothing_when_the_density_grid_fails(tmp_path, capsys, monkeypatch):
+    # the grid and its densities are computed before the result is written
+    def fail(self, x):
+        raise NumericError("density missed its tolerance")
+
+    monkeypatch.setattr(GibbsPosterior, "pdf", fail)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
+    result, density = tmp_path / "r.json", tmp_path / "d.csv"
+    args = ["infer", "--input", str(raw), "--density-grid", "5", "--density-out", str(density)]
+    code, out, _ = run_cli(args + ["--out", "-"], capsys)
+    assert code == 4
+    assert json.loads(out) == {"error": "numeric", "message": "density missed its tolerance"}
+    code, _, _ = run_cli(args + ["--out", str(result)], capsys)
+    assert code == 4
+    assert not result.exists() and not density.exists()
+
+
 def test_infer_truncate_positive_changes_interval(tmp_path, capsys):
     # heavy shift with tiny data so real mass sits below zero
     raw = tmp_path / "raw.csv"
@@ -711,6 +731,7 @@ def test_coverage_rejects_jump_fields_in_model(tmp_path, capsys):
         ["diag", "bvm", "--n", "10"],
         ["diag", "qvrate", "--n", "10"],
         ["diag", "mse", "--threshold", "iqr"],
+        ["diag", "sandwich", "--horizon", "1"],
     ],
 )
 def test_diag_rejects_flags_of_other_diagnostics(args, capsys):
@@ -818,8 +839,83 @@ def test_diag_bvm_at_posterior_shapes_above_1e8(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+_FLAG_SETS = {
+    "simulate": "--config --n --out --rate --seed --tau --with-truth",
+    "infer": "--config --density-grid --density-out --horizon --input --level --out --threshold "
+    "--truncate-positive",
+    "coverage": "--config --level --out --reps --seed --threshold --workers",
+    "diag bvm": "--config --out --reps --seed --threshold",
+    "diag qvrate": "--config --out --reps --seed --threshold",
+    "diag sandwich": "--config --n --out",
+    "diag mse": "--config --n --out --reps --seed",
+}
+
+
+def _subparser(parser, names):
+    for name in names:
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = commands.choices[name]
+    return parser
+
+
+def test_every_command_has_a_pinned_flag_set():
+    assert set(_FLAG_SETS) == set(_SCHEMAS)
+
+
+@pytest.mark.parametrize("command, flags", _FLAG_SETS.items())
+def test_flag_sets_are_pinned(command, flags):
+    parser = _subparser(build_parser(), command.split())
+    options = {option for action in parser._actions for option in action.option_strings}
+    assert sorted(options - {"-h", "--help"}) == flags.split()
+
+
+# ---------------------------------------------------------------------------
 # exit codes and entry point
 # ---------------------------------------------------------------------------
+
+# more float64 elements than one numpy array can hold (its limit is
+# np.iinfo(np.intp).max // 8), so the size is refused before any allocation
+_HUGE = 2**62
+_ABOVE_POISSON_LIMIT = {"lambda_grid": [1e300, 2e300], "tau_grid": [1.0], "n_grid": [100],
+                        "reps": 1}
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["simulate", "--rate", "1e300"], None, "rate * horizon is 1e+300, above the Poisson"),
+        (["simulate"], {"model": {"horizon": 1e300}}, "rate * horizon is 5e+300"),
+        (["coverage", "--workers", "1"], _ABOVE_POISSON_LIMIT, "rate * horizon is 1e+300"),
+        (["coverage", "--workers", "2"], _ABOVE_POISSON_LIMIT, "rate * horizon is 1e+300"),
+        (["simulate", "--rate", "5e18"], None, "more than an array can hold"),
+        (["simulate", "--n", str(_HUGE)], None, f"n is {_HUGE}, more than an array can hold"),
+        (["diag", "bvm"], {"n_grid": [_HUGE, _HUGE + 1], "reps": 100}, f"n is {_HUGE}"),
+        (["diag", "mse", "--n", str(_HUGE)], None, f"n is {_HUGE}"),
+        (
+            ["infer", "--input", "RAW", "--density-grid", str(_HUGE), "--density-out", "DENSITY"],
+            None,
+            f"density grid is {_HUGE}, more than an array can hold",
+        ),
+    ],
+    ids=["simulate-rate", "simulate-horizon", "coverage-1-worker", "coverage-2-workers",
+         "simulate-jump-count", "simulate-n", "diag-bvm-n", "diag-mse-n", "infer-density-grid"],
+)
+def test_sizes_numpy_cannot_draw_or_hold_exit_2(args, config, message, tmp_path, capsys):
+    raw, density, out = tmp_path / "raw.csv", tmp_path / "d.csv", tmp_path / "out"
+    raw.write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
+    args = [{"RAW": str(raw), "DENSITY": str(density)}.get(arg, arg) for arg in args]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 2
+    assert message in err
+    assert stdout == "" and "Traceback" not in err
+    assert not out.exists() and not density.exists()
+
 
 def test_numeric_error_exits_4(monkeypatch, capsys):
     def fail(*args, **kwargs):

@@ -104,6 +104,18 @@ def test_simulate_jumps_bad_horizon():
         simulate_jumps(JUMPS, horizon=0.0, seed=1)
 
 
+def test_simulate_jumps_refuses_counts_numpy_cannot_draw_or_hold():
+    # numpy's Poisson sampler takes means up to this limit and refuses the
+    # next float; a count drawn at the limit is more than an array can hold.
+    # Both are refused before anything is allocated.
+    limit = 9.223372006484771e18
+    above = JumpSpec.two_point(math.nextafter(limit, math.inf), 1.0)
+    with pytest.raises(ConfigurationError, match=r"rate \* horizon is 9.223372006484772e\+18"):
+        simulate_jumps(above, horizon=1.0, seed=0)
+    with pytest.raises(ConfigurationError, match="more than an array can hold"):
+        simulate_jumps(JumpSpec.two_point(limit, 1.0), horizon=1.0, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # bin_jumps
 # ---------------------------------------------------------------------------
@@ -129,6 +141,14 @@ def test_bin_jumps_rejects_times_outside_horizon():
     realization = JumpRealization(times=np.array([1.5]), sizes=np.array([1.0]))
     with pytest.raises(ConfigurationError):
         bin_jumps(realization, n=10, horizon=1.0)
+
+
+def test_bin_jumps_refuses_more_windows_than_an_array_holds():
+    # np.iinfo(np.intp).max // 8 float64 elements is numpy's largest array
+    empty = JumpRealization(times=np.array([]), sizes=np.array([]))
+    n = np.iinfo(np.intp).max // 8 + 1
+    with pytest.raises(ConfigurationError, match=f"n is {n}, more than an array can hold"):
+        bin_jumps(empty, n=n, horizon=1.0)
 
 
 def test_seed_sequence_accepted_as_seed():
