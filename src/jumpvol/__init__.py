@@ -29,6 +29,7 @@ from .errors import (
 from .harness import (
     CoverageConfig,
     CoverageRow,
+    derive_seed,
     run_coverage,
     write_coverage_csv,
 )
@@ -50,10 +51,8 @@ from .posterior import (
     modify_posterior,
     tempered_update,
 )
-from .seeds import derive_seed
 from .simulate import (
     DiffusionSpec,
-    FixedSize,
     IncrementData,
     JumpRealization,
     JumpSpec,
@@ -81,7 +80,6 @@ __all__ = [
     "DegenerateDataError",
     "DegenerateInferenceError",
     "DiffusionSpec",
-    "FixedSize",
     "GibbsPosterior",
     "IncrementData",
     "Inference",

@@ -34,7 +34,6 @@ from .harness import CoverageConfig, run_coverage, write_coverage_csv
 from .posterior import InverseGammaParams, bvm_normal, credible_interval, infer_increments
 from .simulate import (
     DiffusionSpec,
-    FixedSize,
     JumpSpec,
     SizeTable,
     TwoPointSizes,
@@ -142,7 +141,9 @@ def _object(table: dict, build, where: str):
 
 _SIZE_LAWS = {
     "two_point": _object({"tau": (_float, _REQUIRED)}, TwoPointSizes, "jump_sizes"),
-    "fixed": _object({"value": (_float, _REQUIRED)}, FixedSize, "jump_sizes"),
+    "fixed": _object(
+        {"value": (_float, _REQUIRED)}, lambda value: SizeTable((value,), (1.0,)), "jump_sizes"
+    ),
     "table": _object(
         {"values": (_floats, _REQUIRED), "probs": (_floats, _REQUIRED)}, SizeTable, "jump_sizes"
     ),

@@ -78,6 +78,12 @@ class TruthSummary:
             raise ConfigurationError(
                 f"jump_qv / horizon overflows: {self.jump_qv} / {self.horizon}"
             )
+        try:
+            float(self.theta_dagger) ** 2
+        except OverflowError:
+            raise ConfigurationError(
+                f"theta_dagger is {self.theta_dagger}, whose square overflows"
+            ) from None
 
     @property
     def theta_dagger(self) -> float:

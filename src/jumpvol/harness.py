@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, product
 
+import numpy as np
+
 from .errors import ConfigurationError, DegenerateInferenceError
 from .posterior import InverseGammaParams, credible_interval, infer_increments
-from .seeds import derive_seed
 from .simulate import DiffusionSpec, JumpSpec, _opened, simulate_path
 from .threshold import ThresholdRule
 
@@ -75,6 +76,23 @@ class CoverageRow:
     mean_width: float
     mc_stderr: float
     degenerate_count: int
+
+
+def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
+    """Derive the seed for replication ``rep_index`` of cell ``cell_index``.
+
+    The triple is mixed by feeding ``base_seed`` as entropy and
+    ``(cell_index, rep_index)`` as the spawn key of a ``numpy.random.
+    SeedSequence``; the first 128 bits of its output state are packed into a
+    single integer.  The mapping is deterministic and, for all practical
+    purposes, collision-free across distinct triples.
+    """
+    ss = np.random.SeedSequence(base_seed, spawn_key=(cell_index, rep_index))
+    words = ss.generate_state(4, np.uint32)
+    seed = 0
+    for w in reversed(words):
+        seed = (seed << 32) | int(w)
+    return seed
 
 
 def _run_block(task) -> list:

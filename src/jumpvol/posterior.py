@@ -252,7 +252,7 @@ class NormalApprox:
 
     def __post_init__(self):
         if not (np.isfinite(self.variance) and self.variance > 0):
-            raise ConfigurationError(f"variance must be positive, got {self.variance}")
+            raise ConfigurationError(f"variance must be positive and finite, got {self.variance}")
 
     @property
     def sd(self) -> float:

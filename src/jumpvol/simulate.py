@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -90,20 +90,6 @@ class TwoPointSizes:
 
 
 @dataclass(frozen=True)
-class FixedSize:
-    """Every jump has the same (nonzero) size."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.value) and self.value != 0):
-            raise ConfigurationError(f"fixed size law requires a nonzero value, got {self.value}")
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.full(count, float(self.value))
-
-
-@dataclass(frozen=True)
 class SizeTable:
     """Jump sizes drawn from a finite table of (value, probability) pairs."""
 
@@ -115,8 +101,9 @@ class SizeTable:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.values) != len(self.probs) or not self.values:
             raise ConfigurationError("size table needs matching, nonempty values and probs")
-        if any(not np.isfinite(v) or v == 0 for v in self.values):
-            raise ConfigurationError("size table values must be finite and nonzero")
+        for v in self.values:
+            if not np.isfinite(v) or v == 0:
+                raise ConfigurationError(f"size table values must be finite and nonzero, got {v}")
         if any(p < 0 for p in self.probs):
             raise ConfigurationError("size table probabilities must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-12:
@@ -126,7 +113,7 @@ class SizeTable:
         return rng.choice(np.array(self.values), size=count, p=np.array(self.probs))
 
 
-SizeLaw = Union[TwoPointSizes, FixedSize, SizeTable]
+SizeLaw = Union[TwoPointSizes, SizeTable]
 
 
 @dataclass(frozen=True)
@@ -152,7 +139,7 @@ class JumpSpec:
 
     @classmethod
     def fixed(cls, rate: float, value: float) -> "JumpSpec":
-        return cls(rate=rate, size_law=FixedSize(value))
+        return cls(rate=rate, size_law=SizeTable((value,), (1.0,)))
 
     @classmethod
     def table(cls, rate: float, values, probs) -> "JumpSpec":
@@ -207,13 +194,14 @@ class PathTruth:
     """
 
     mu: np.ndarray
-    jump_qv: float = field(init=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        nz = mu[mu != 0.0]
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "jump_qv", float(np.sum(nz * nz)))
+        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
+
+    @property
+    def jump_qv(self) -> float:
+        nz = self.mu[self.mu != 0.0]
+        return float(np.sum(nz * nz))
 
     @property
     def jump_windows(self) -> tuple[int, ...]:
@@ -402,10 +390,11 @@ def read_increments_csv(file) -> IncrementData:
     A file with the standard header yields the horizon (the last ``t_i``) and
     the ``mu_i`` column when present.  A headerless file must be a single
     column of raw increments.  Every cell must be a number (``nan`` and ``inf``
-    parse; the inference rejects them later).  An ``index`` column must read
-    1..n, and ``t_i`` must lie on the equally spaced grid ``i * t_n / n``
-    within ``1e-6`` of a step.  Empty lines are skipped.  A violation
-    raises :class:`ConfigurationError` naming the first bad 1-based data row.
+    parse; the inference rejects them later).  Header names must be distinct.
+    An ``index`` column must read 1..n, and ``t_i`` must lie on the equally
+    spaced grid ``i * t_n / n`` within ``1e-6`` of a step.  Empty lines are
+    skipped.  A violation raises :class:`ConfigurationError` naming the first
+    bad 1-based data row.
     """
     with _opened(file, "r") as handle:
         try:
@@ -430,6 +419,9 @@ def _read_increments(handle) -> IncrementData:
         unknown = set(names) - {"index", "t_i", "D_i", "mu_i"}
         if unknown:
             raise ConfigurationError(f"unknown columns in increments file: {sorted(unknown)}")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigurationError(f"repeated columns in increments file: {repeated}")
         if "D_i" not in names:
             raise ConfigurationError("increments file is missing the D_i column")
         body, row = _next_row(handle)

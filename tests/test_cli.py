@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,13 @@ def test_simulate_config_file(tmp_path, capsys):
     code, _, _ = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 0
     assert len(out.read_text().strip().splitlines()) == 41
+
+
+def test_simulate_fixed_size_of_zero_names_the_value(tmp_path, capsys):
+    config = {"model": {"jump_sizes": {"kind": "fixed", "value": 0}}}
+    code, err = _run_with_config(["simulate"], config, tmp_path, capsys)
+    assert code == 2
+    assert "nonzero, got 0.0" in err
 
 
 def test_simulate_table_size_law_config(tmp_path, capsys):
@@ -417,6 +425,14 @@ def test_readme_config_table_matches_schema():
     assert documented == used
 
 
+def test_readme_layout_lists_every_module():
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Layout", 1)[1].split("```", 2)[1]
+    documented = set(re.findall(r"^  (\w+\.py) ", block, re.MULTILINE))
+    modules = {path.name for path in (root / "src" / "jumpvol").glob("*.py")}
+    assert documented == modules - {"__init__.py"}
+
+
 @settings(
     derandomize=True,
     deadline=None,
@@ -532,6 +548,25 @@ def test_infer_degenerate_exits_4(tmp_path, capsys):
     assert code == 4
     diagnostic = json.loads(out)
     assert diagnostic["error"] == "degenerate_inference"
+
+
+def test_infer_refuses_a_repeated_column(monkeypatch, capsys):
+    # without the check the last D_i column would silently win
+    body = "D_i,D_i\n0.1,0.2\n0.3,0.4\n-0.2,0.1\n0.05,0.3\n0.2,-0.1\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+    code, out, err = run_cli(["infer", "--input", "-", "--out", "-"], capsys)
+    assert code == 2
+    assert "repeated columns in increments file: ['D_i']" in err
+    assert out == ""
+
+
+def test_infer_names_an_infinite_bvm_variance(tmp_path, capsys):
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("D_i\n1e150\n-2e150\n3e150\n1e150\n-1e150\n2e150\n")
+    code, out, err = run_cli(["infer", "--input", str(csv_path), "--out", "-"], capsys)
+    assert code == 2
+    assert "variance must be positive and finite, got inf" in err
+    assert out == ""
 
 
 def test_infer_non_finite_increment_names_row(tmp_path, capsys):
@@ -836,6 +871,21 @@ def test_diag_bvm_at_posterior_shapes_above_1e8(tmp_path, capsys):
     code, out, _ = run_cli(["diag", "bvm", "--config", str(cfg), "--out", "-"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "diag, config",
+    [
+        ("sandwich", {"theta_star": 1e300}),
+        ("bvm", {"model": {"theta_star": 1e300}, "n_grid": [1000, 2000], "reps": 100}),
+        ("mse", {"model": {"theta_star": 1e300}, "reps": 1000, "n": 100}),
+    ],
+)
+def test_diag_volatility_whose_square_overflows_exits_2(diag, config, tmp_path, capsys):
+    code, err = _run_with_config(["diag", diag], config, tmp_path, capsys)
+    assert code == 2
+    assert "theta_dagger is 1e+300, whose square overflows" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

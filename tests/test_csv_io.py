@@ -72,6 +72,22 @@ def test_unknown_columns_rejected():
         read_increments_csv(io.StringIO("index,t_i,D_i,extra\n1,0.1,0.5,9\n"))
 
 
+@pytest.mark.parametrize(
+    "header, repeated",
+    [
+        ("D_i,D_i", "['D_i']"),
+        ("index,t_i,D_i,t_i", "['t_i']"),
+        ("D_i,mu_i,D_i,mu_i", "['D_i', 'mu_i']"),
+    ],
+)
+def test_repeated_columns_rejected(header, repeated):
+    width = len(header.split(","))
+    rows = "".join(",".join(["1"] * width) + "\n" for _ in range(3))
+    with pytest.raises(ConfigurationError) as err:
+        read_increments_csv(io.StringIO(header + "\n" + rows))
+    assert str(err.value) == f"repeated columns in increments file: {repeated}"
+
+
 def test_missing_increment_column_rejected():
     with pytest.raises(ConfigurationError):
         read_increments_csv(io.StringIO("index,t_i\n1,0.1\n"))

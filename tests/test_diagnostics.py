@@ -67,6 +67,17 @@ def test_truth_summary_validation():
         TruthSummary(theta_star=1.0, jump_qv=1e308, horizon=1e-10)
 
 
+def test_truth_summary_refuses_a_theta_dagger_whose_square_overflows():
+    # sandwich_variance and the bvm limit square theta_dagger, where a float
+    # above about 1.34e154 raises OverflowError
+    with pytest.raises(ConfigurationError, match="theta_dagger is 1e\\+300, whose square"):
+        TruthSummary(theta_star=1e300, jump_qv=0.0, horizon=1.0)
+    with pytest.raises(ConfigurationError, match="whose square overflows"):
+        TruthSummary(theta_star=1.0, jump_qv=1e200, horizon=1e-100)
+    truth = TruthSummary(theta_star=1e154, jump_qv=0.0, horizon=1.0)
+    assert math.isfinite(truth.theta_dagger**2)
+
+
 # ---------------------------------------------------------------------------
 # Total variation distance
 # ---------------------------------------------------------------------------

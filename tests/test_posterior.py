@@ -498,6 +498,11 @@ def test_bvm_normal_rejects_nonpositive_center():
         bvm_normal(2.0, _qv(2.0), horizon=1.0, n=100)
 
 
+def test_normal_approx_refuses_an_infinite_variance():
+    with pytest.raises(ConfigurationError, match="positive and finite, got inf"):
+        NormalApprox(mean=0.0, variance=math.inf)
+
+
 def test_normal_approx_quantiles():
     approx = NormalApprox(mean=3.0, variance=4.0)
     assert approx.ppf(0.5) == pytest.approx(3.0)

@@ -24,3 +24,10 @@ def test_all_is_exactly_the_public_attributes():
     }
     assert set(jumpvol.__all__) == public
     assert len(jumpvol.__all__) == len(set(jumpvol.__all__))
+
+
+def test_derive_seed_lives_beside_the_replication_loop():
+    assert jumpvol.derive_seed is jumpvol.harness.derive_seed
+    # the seeds of every published run stay as they were
+    assert jumpvol.derive_seed(7, 3, 11) == 246756699162853161065411023035676043112
+    assert jumpvol.derive_seed(0, 0, 0) == 158005560261127736791001054578933370372

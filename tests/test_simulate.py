@@ -1,3 +1,6 @@
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -8,6 +11,7 @@ from jumpvol import (
     DiffusionSpec,
     JumpRealization,
     JumpSpec,
+    PathTruth,
     SamplePath,
     SizeTable,
     bin_jumps,
@@ -15,7 +19,9 @@ from jumpvol import (
     simulate_jumps,
     simulate_path,
     simulate_path_given_jumps,
+    write_increments_csv,
 )
+from jumpvol.cli import main
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -50,6 +56,56 @@ def test_size_table_accepts_exact_probabilities():
     rng = np.random.default_rng(0)
     draws = law.sample(rng, 1000)
     assert set(np.unique(draws)) <= {-2.0, 1.0, 4.0}
+
+
+def test_size_table_names_the_bad_value():
+    with pytest.raises(ConfigurationError, match="nonzero, got 0.0"):
+        JumpSpec.fixed(5.0, 0.0)
+    with pytest.raises(ConfigurationError, match="nonzero, got inf"):
+        SizeTable(values=(1.0, math.inf), probs=(0.5, 0.5))
+
+
+class _ConstantSizes:
+    """The fixed size law as a law of its own: every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, rng, count):
+        return np.full(count, float(self.value))
+
+
+def _constant_spec(rate, value):
+    # JumpSpec refuses a law it does not know, so its fields are set directly
+    spec = object.__new__(JumpSpec)
+    object.__setattr__(spec, "rate", rate)
+    object.__setattr__(spec, "size_law", _ConstantSizes(value))
+    return spec
+
+
+@pytest.mark.parametrize("value", [2.5, -0.75, 1e-3])
+@pytest.mark.parametrize("seed", [0, 9, 2024])
+def test_fixed_law_draws_the_paths_of_a_constant_size(seed, value):
+    # a one-row table draws its uniforms after everything else the jump
+    # stream feeds, so it leaves the path of a constant size bit for bit
+    fixed = simulate_path(DIFF, JumpSpec.fixed(40.0, value), n=300, seed=seed)
+    constant = simulate_path(DIFF, _constant_spec(40.0, value), n=300, seed=seed)
+    assert np.any(fixed.truth.mu != 0.0)
+    assert np.array_equal(fixed.increments, constant.increments)
+    assert np.array_equal(fixed.truth.mu, constant.truth.mu)
+
+
+def test_fixed_config_kind_writes_the_csv_of_a_constant_size(tmp_path, monkeypatch):
+    monkeypatch.delenv("JUMPVOL_SEED", raising=False)
+    cfg = tmp_path / "sim.json"
+    model = {"jump_sizes": {"kind": "fixed", "value": 2.5}}
+    cfg.write_text(json.dumps({"model": model, "n": 3000, "seed": 9, "with_truth": True}))
+    out = tmp_path / "path.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    expected = io.StringIO()
+    path = simulate_path(DiffusionSpec(1.0, 10.0, 1.0), _constant_spec(5.0, 2.5), 3000, seed=9)
+    write_increments_csv(expected, path, with_truth=True)
+    assert out.read_text() == expected.getvalue()
 
 
 def test_jump_realization_validation():
@@ -198,6 +254,17 @@ def test_truth_bookkeeping_exact():
         # stored value equals the subset sum exactly
         selected = mu[mu != 0.0]
         assert float(np.sum(selected * selected)) == path.truth.jump_qv
+
+
+def test_path_truth_holds_mu_and_derives_jump_qv():
+    assert [f.name for f in dataclasses.fields(PathTruth)] == ["mu"]
+    truth = PathTruth([0, 3, 0, -2])
+    assert truth.mu.dtype == float
+    assert (truth.jump_qv, truth.jump_windows) == (13.0, (2, 4))
+    for seed in range(20):
+        mu = simulate_path(DIFF, JUMPS, n=200, seed=seed).truth.mu
+        nz = mu[mu != 0.0]
+        assert PathTruth(mu).jump_qv == float(np.sum(nz * nz))
 
 
 def test_sum_of_squares_moment():
