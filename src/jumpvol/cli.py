@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -365,13 +366,16 @@ def cmd_infer(args) -> int:
     record = {
         "theta_hat": inf.theta_hat,
         "jump_qv_hat": inf.qv.jump_qv_hat,
-        "eta": inf.qv.eta,
+        "eta": inf.qv.eta if math.isfinite(inf.qv.eta) else None,  # no finite threshold
         "kappa": inf.kappa,
         "posterior": {"shape": post.ig.shape, "rate": post.ig.rate, "shift": post.shift},
         "interval": {"level": cfg.level, "lo": interval.lo, "hi": interval.hi},
         "bvm": {"mean": approx.mean, "variance": approx.variance},
     }
-    texts = [(out, json.dumps(record, indent=2) + "\n")]
+    try:
+        texts = [(out, json.dumps(record, indent=2, allow_nan=False) + "\n")]
+    except ValueError as err:
+        raise NumericError(f"the inference result is not finite: {record}") from err
     if density_grid is not None:
         # grid spans the central 99.9% posterior mass
         grid = np.linspace(dist.ppf(0.0005), dist.ppf(0.9995), density_grid)

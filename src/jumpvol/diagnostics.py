@@ -100,6 +100,19 @@ class TruthSummary:
         return cls(theta_star=diff.theta_star, jump_qv=path.truth.jump_qv, horizon=path.horizon)
 
 
+def _resolved(value: float, what: str, truth: TruthSummary) -> float:
+    """``value``, a leading variance, if float64 holds it as a positive
+    finite number; otherwise the error naming the volatility at fault."""
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"{what} overflows at theta_star = {truth.theta_star!r} "
+            f"(theta_dagger = {truth.theta_dagger!r})"
+        )
+    if not value > 0.0:
+        raise ConfigurationError(f"{what} underflows to 0 at theta_star = {truth.theta_star!r}")
+    return value
+
+
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     """Monte Carlo mean of ``values`` and its standard error."""
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
@@ -224,11 +237,17 @@ def _bvm_distances(diff, jumps, prior, rule, n, seed) -> tuple[float, float]:
     inf = infer_increments(path.increments, path.horizon, rule, prior)
     limit_tempered = NormalApprox(
         mean=inf.theta_hat,
-        variance=2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
+        variance=_resolved(
+            2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
+            "the tempered limit variance 2 kappa_dagger theta_dagger^2 / n",
+            truth,
+        ),
     )
     limit_modified = NormalApprox(
         mean=inf.theta_hat - inf.modified.shift,
-        variance=2.0 * truth.theta_star**2 / n,
+        variance=_resolved(
+            2.0 * truth.theta_star**2 / n, "the limit variance 2 theta_star^2 / n", truth
+        ),
     )
     return tv_distance(inf.posterior, limit_tempered), tv_distance(inf.modified, limit_modified)
 
@@ -271,7 +290,11 @@ def sandwich_variance(truth: TruthSummary, n: int) -> float:
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
     ratio = truth.jump_qv / (truth.horizon * truth.theta_dagger)
-    return (2.0 * truth.theta_dagger**2 / n) * (1.0 - ratio**2)
+    return _resolved(
+        (2.0 * truth.theta_dagger**2 / n) * (1.0 - ratio**2),
+        "the sandwich variance",
+        truth,
+    )
 
 
 @dataclass(frozen=True)
@@ -324,6 +347,10 @@ def mse_oracle(
     jump_truth = PathTruth(bin_jumps(fixed_jumps, n, diff.horizon)[0])
     horizon = n * (diff.horizon / n)
     truth = TruthSummary(diff.theta_star, jump_truth.jump_qv, horizon)
+    product_form = _resolved(
+        2.0 * diff.theta_star * truth.theta_dagger / n, "the product form", truth
+    )
+    sandwich = sandwich_variance(truth, n)
     (estimates,) = replicate(partial(_mle_given_jumps, diff, fixed_jumps), [n], reps, seed)
     estimates = np.array(estimates)
     mse, mse_stderr = _mean_and_stderr((estimates - truth.theta_dagger) ** 2)
@@ -336,8 +363,8 @@ def mse_oracle(
         empirical_mse_stderr=mse_stderr,
         empirical_variance=float(estimates.var(ddof=1)),
         empirical_variance_stderr=variance_stderr,
-        product_form=2.0 * diff.theta_star * truth.theta_dagger / n,
-        sandwich=sandwich_variance(truth, n),
+        product_form=product_form,
+        sandwich=sandwich,
     )
 
 

@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInferenceError
 from .posterior import InverseGammaParams, credible_interval, infer_increments
-from .simulate import DiffusionSpec, JumpSpec, _opened, simulate_path
+from .simulate import (
+    _MASK32,
+    DiffusionSpec,
+    JumpSpec,
+    _opened,
+    _seed_states,
+    _spawned_entropy,
+    simulate_path,
+)
 from .threshold import ThresholdRule
 
 COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerate_count"
@@ -85,19 +93,28 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
     ``(cell_index, rep_index)`` as the spawn key of a ``numpy.random.
     SeedSequence``; the first 128 bits of its output state are packed into a
     single integer.  The mapping is deterministic and, for all practical
-    purposes, collision-free across distinct triples.
+    purposes, collision-free across distinct triples.  The words come from
+    the package's own copy of the ``SeedSequence`` mix, which reproduces
+    numpy's bit for bit and also derives a whole block at once.
     """
-    ss = np.random.SeedSequence(base_seed, spawn_key=(cell_index, rep_index))
-    words = ss.generate_state(4, np.uint32)
-    seed = 0
-    for w in reversed(words):
-        seed = (seed << 32) | int(w)
-    return seed
+    (w,) = _seed_states(_spawned_entropy(base_seed, (cell_index, rep_index)), [[]], 4)
+    return w[0] | w[1] << 32 | w[2] << 64 | w[3] << 96
+
+
+def _derive_seeds(base_seed: int, cell_index: int, reps: range) -> list[int]:
+    """``[derive_seed(base_seed, cell_index, rep) for rep in reps]``, from one
+    kernel call over the block when every rep fits in one uint32 word."""
+    if not reps or min(reps[0], reps[-1]) < 0 or max(reps[0], reps[-1]) > _MASK32:
+        return [derive_seed(base_seed, cell_index, rep) for rep in reps]
+    rep_words = np.arange(reps.start, reps.stop, reps.step, dtype=np.uint64)
+    (w,) = _seed_states(_spawned_entropy(base_seed, (cell_index,)), [[rep_words]], 4)
+    low, high = (w[0] | w[1] << 32).tolist(), (w[2] | w[3] << 32).tolist()
+    return [lo | hi << 64 for lo, hi in zip(low, high)]
 
 
 def _run_block(task) -> list:
     stat, cell, index, base_seed, block = task
-    return [stat(cell, derive_seed(base_seed, index, rep)) for rep in block]
+    return [stat(cell, seed) for seed in _derive_seeds(base_seed, index, block)]
 
 
 def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[list]:

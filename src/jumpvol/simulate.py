@@ -21,16 +21,128 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError
 
 SeedLike = Union[int, np.random.SeedSequence, None]
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe hash-mix, a pool of 4 uint32
+# words) written as plain integer arithmetic.  Every expression below holds
+# on Python ints and on uint64 arrays of values below 2**32, so one kernel
+# derives one seed or a block of them; numpy's SeedSequence is the reference
+# the tests hold it to.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pairs of the first ``count`` hash-mix calls."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return list(zip(consts, consts[1:]))
+
+
+#: Enough for 8 entropy words and 8 output words; longer inputs compute theirs.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 32)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+#: The (source, destination) order in which the first four words mix.
+_CROSS = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+
+
+def _int_words(value) -> list[int]:
+    """The little-endian uint32 words of a non-negative integer (``[0]`` for 0)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _spawned_entropy(entropy, spawn_key: tuple) -> list:
+    """The words of ``entropy``, zero-padded to the pool, then those of each
+    ``spawn_key`` element: how numpy assembles a spawned sequence's entropy."""
+    words = _int_words(entropy)
+    words += [0] * (4 - len(words))
+    for key in spawn_key:
+        words += _int_words(key)
+    return words
+
+
+def _seed_states(words: list, tails: list, n_words: int) -> list[list]:
+    """For each ``tail`` of ``tails``, ``generate_state(n_words, np.uint32)``
+    of the ``SeedSequence`` whose assembled entropy is ``words + tail``, bit
+    for bit, as a list of words.
+
+    ``words`` (at least four) are mixed once for all tails.  A word is a
+    Python int below ``2**32`` or a uint64 array of such values; a state word
+    is then an array over it, which derives a block of sequences at once.
+    """
+    calls = 4 * (len(words) + max(map(len, tails)))
+    a = _HASH_A if calls <= len(_HASH_A) else _hash_constants(_INIT_A, _MULT_A, calls)
+    b = _HASH_B if n_words <= len(_HASH_B) else _hash_constants(_INIT_B, _MULT_B, n_words)
+    # the first four words fill the pool and mix with each other
+    pool = []
+    for word, (x, m) in zip(words, a):
+        h = (word ^ x) * m & _MASK32
+        pool.append(h ^ h >> 16)
+    for (src, dst), (x, m) in zip(_CROSS, a[4:]):
+        h = (pool[src] ^ x) * m & _MASK32
+        mixed = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    states = []
+    for tail in tails:
+        # every further word mixes into each pool word in turn, with the
+        # constants after the 16 calls above
+        mixer = pool.copy()
+        k = 16
+        for word in words[4:] + tail:
+            for dst in range(4):
+                x, m = a[k]
+                k += 1
+                h = (word ^ x) * m & _MASK32
+                mixed = (_MIX_L * mixer[dst] - _MIX_R * (h ^ h >> 16)) & _MASK32
+                mixer[dst] = mixed ^ mixed >> 16
+        state = []
+        for i, (x, m) in zip(range(n_words), b):
+            h = (mixer[i % 4] ^ x) * m & _MASK32
+            state.append(h ^ h >> 16)
+        states.append(state)
+    return states
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` the 4 uint64 state words the
+    kernel derived, so that ``PCG64`` seeds itself in C.  ``PCG64`` asks for
+    exactly those, as ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _child_streams(seed: int) -> list[np.random.Generator]:
+    """The generators ``default_rng`` makes of ``SeedSequence(seed).spawn(2)``."""
+    streams = []
+    for w in _seed_states(_spawned_entropy(seed, ()), [[0], [1]], 8):
+        state = np.array([w[j] | w[j + 1] << 32 for j in range(0, 8, 2)], dtype=np.uint64)
+        streams.append(np.random.Generator(np.random.PCG64(_StateWords(state))))
+    return streams
+
 
 #: The largest mean that numpy's Poisson sampler takes, and the most 8-byte
 #: elements that one numpy array can hold.
@@ -86,7 +198,8 @@ class TwoPointSizes:
             raise ConfigurationError(f"two-point size law requires tau > 0, got {self.tau}")
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.choice(np.array([-self.tau, self.tau]), size=count)
+        # the draws, and the generator state after them, of rng.choice on the pair
+        return np.array([-self.tau, self.tau])[rng.integers(0, 2, size=count)]
 
 
 @dataclass(frozen=True)
@@ -284,15 +397,11 @@ def bin_jumps(jumps: JumpRealization, n: int, horizon: float) -> tuple[np.ndarra
     if n < 1:
         raise ConfigurationError(f"need at least one window, got n={n}")
     _check_length(n, "n")
-    mu = np.zeros(n)
-    counts = np.zeros(n, dtype=int)
-    if len(jumps):
-        if np.any(jumps.times >= horizon):
-            raise ConfigurationError("jump times must lie strictly inside (0, horizon)")
-        idx = np.minimum((jumps.times * (n / horizon)).astype(int), n - 1)
-        np.add.at(mu, idx, jumps.sizes)
-        np.add.at(counts, idx, 1)
-    return mu, counts
+    if np.any(jumps.times >= horizon):
+        raise ConfigurationError("jump times must lie strictly inside (0, horizon)")
+    idx = np.minimum((jumps.times * (n / horizon)).astype(int), n - 1)
+    # bincount adds each window's sizes in jump order, starting from 0.0
+    return np.bincount(idx, weights=jumps.sizes, minlength=n), np.bincount(idx, minlength=n)
 
 
 def simulate_path_given_jumps(
@@ -323,14 +432,20 @@ def simulate_path(
     can contain more than one jump; the single-jump-per-window picture is a
     high-frequency approximation, not something the generator enforces.
     Deterministic given ``seed``: the seed is split into independent streams
-    for the jump and diffusion parts.
+    for the jump and diffusion parts, the children ``(0,)`` and ``(1,)`` of
+    ``SeedSequence(seed)``.  For an integer seed their ``PCG64`` states come
+    from the package's own copy of the ``SeedSequence`` mix, which
+    reproduces numpy's bit for bit; numpy's stays the reference in the tests.
     """
     if n < 2:
         raise ConfigurationError(f"need at least 2 increments, got n={n}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    jump_ss, diff_ss = ss.spawn(2)
-    realization = simulate_jumps(jumps, diff.horizon, seed=jump_ss)
-    return simulate_path_given_jumps(diff, realization, n, seed=diff_ss)
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        jump_stream, diff_stream = _child_streams(seed)
+    else:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        jump_stream, diff_stream = ss.spawn(2)
+    realization = simulate_jumps(jumps, diff.horizon, seed=jump_stream)
+    return simulate_path_given_jumps(diff, realization, n, seed=diff_stream)
 
 
 # ---------------------------------------------------------------------------

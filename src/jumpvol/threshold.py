@@ -26,13 +26,14 @@ def _lerp(a: float, b: float, t: float) -> float:
 
 
 def _quartiles(values: np.ndarray) -> tuple[float, float]:
-    """``np.quantile(values, [0.25, 0.75])`` bit for bit, from one partition
-    of the 1-d float array ``values`` (at least 2 long), which is reordered."""
+    """``np.quantile(values, [0.25, 0.75])`` bit for bit, from one sort of
+    the 1-d float array ``values`` (at least 2 long), which is reordered.
+    One sort costs less than numpy's partition at the five indices needed."""
     # (n - 1) / 4 and 3 (n - 1) / 4 as whole positions and quarters: numpy's
     # virtual indices, which are exact in float64
     lower, upper = divmod(values.size - 1, 4), divmod(3 * (values.size - 1), 4)
-    # the last element too: a NaN sorts there, and np.quantile answers NaN then
-    values.partition([lower[0], lower[0] + 1, upper[0], upper[0] + 1, -1])
+    values.sort()
+    # a NaN sorts last, and np.quantile answers NaN then
     if math.isnan(values[-1]):
         return math.nan, math.nan
     q1, q3 = (_lerp(float(values[k]), float(values[k + 1]), r / 4) for k, r in (lower, upper))
@@ -128,6 +129,6 @@ def estimate_jump_qv(increments, eta: float) -> QvEstimate:
     if math.isnan(eta) or eta <= 0:
         raise ConfigurationError(f"threshold must be positive (or +inf), got {eta}")
     mask = np.abs(d) > eta
-    flagged = tuple(int(i) for i in np.flatnonzero(mask) + 1)
+    flagged = tuple((np.flatnonzero(mask) + 1).tolist())
     hat = float(np.sum(d[mask] ** 2))
     return QvEstimate(eta=float(eta), jump_qv_hat=hat, flagged=flagged)

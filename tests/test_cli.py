@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -535,7 +536,44 @@ def test_infer_infinite_fixed_threshold_gives_plain_bayes(tmp_path, capsys):
     assert record["kappa"] == 1.0
     assert record["jump_qv_hat"] == 0.0
     assert record["posterior"]["shift"] == 0.0
-    assert record["eta"] == math.inf
+    assert record["eta"] is None  # RFC 8259 JSON has no Infinity
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infer_with_a_zero_iqr_writes_null_eta(tmp_path, capsys):
+    # at this volatility the diffusion is lost in the rounding of the drift,
+    # so every |D_i| is alike, the IQR is 0 and no threshold is finite
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"theta_star": 1e-300}, "n": 500}))
+    csv_path = tmp_path / "path.csv"
+    run_cli(["simulate", "--config", str(cfg), "--seed", "2", "--out", str(csv_path)], capsys)
+    code, out, _ = run_cli(["infer", "--input", str(csv_path), "--out", "-"], capsys)
+    assert code == 0
+    assert '"eta": null' in out
+    assert _strict_json(out)["eta"] is None
+
+
+def test_infer_result_that_is_not_finite_exits_4(tmp_path, capsys, monkeypatch):
+    # a non-finite number in the result never reaches the output as Infinity
+    def infinite_normal(theta_hat, qv, horizon, n):
+        return SimpleNamespace(mean=math.inf, variance=1.0)
+
+    monkeypatch.setattr("jumpvol.cli.bvm_normal", infinite_normal)
+    csv_path = tmp_path / "path.csv"
+    run_cli(["simulate", "--n", "500", "--seed", "4", "--out", str(csv_path)], capsys)
+    out_path = tmp_path / "result.json"
+    code, out, _ = run_cli(["infer", "--input", str(csv_path), "--out", str(out_path)], capsys)
+    assert code == 4
+    diagnostic = _strict_json(out)
+    assert diagnostic["error"] == "numeric"
+    assert "not finite" in diagnostic["message"]
+    assert not out_path.exists()
 
 
 def test_infer_degenerate_exits_4(tmp_path, capsys):
@@ -885,6 +923,43 @@ def test_diag_volatility_whose_square_overflows_exits_2(diag, config, tmp_path, 
     code, err = _run_with_config(["diag", diag], config, tmp_path, capsys)
     assert code == 2
     assert "theta_dagger is 1e+300, whose square overflows" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "diag, config",
+    [
+        ("sandwich", {"theta_star": 1.2e154, "n": 1}),
+        ("mse", {"model": {"theta_star": 1.2e154}, "reps": 1000, "n": 100}),
+        ("bvm", {"model": {"theta_star": 1.2e154}, "n_grid": [200, 400], "reps": 100}),
+    ],
+)
+def test_diag_volatility_whose_doubled_square_overflows_exits_2(diag, config, tmp_path, capsys):
+    # (1.2e154)^2 is finite, twice it is not
+    code, err = _run_with_config(["diag", diag], config, tmp_path, capsys)
+    assert code == 2
+    assert "overflows at theta_star = 1.2e+154 (theta_dagger = 1.2e+154)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "diag, config, what",
+    [
+        ("mse", {"model": {"theta_star": 1e-300}, "reps": 1000, "n": 100}, "the sandwich variance"),
+        ("mse", {"model": {"theta_star": 1e-300, "jump_rate": 0.0}, "reps": 1000, "n": 100},
+         "the product form"),
+        ("sandwich", {"theta_star": 1e-300, "n": 1}, "the sandwich variance"),
+        ("bvm", {"model": {"theta_star": 1e-300}, "n_grid": [200, 400], "reps": 100},
+         "the tempered limit variance"),
+        ("bvm", {"model": {"theta_star": 1e-300, "jump_rate": 0.0}, "n_grid": [200, 400],
+                 "reps": 100}, "the tempered limit variance"),
+    ],
+)
+def test_diag_volatility_that_underflows_exits_2(diag, config, what, tmp_path, capsys):
+    code, err = _run_with_config(["diag", diag], config, tmp_path, capsys)
+    assert code == 2
+    theta_star = config.get("model", config)["theta_star"]
+    assert what in err and f"underflows to 0 at theta_star = {theta_star!r}" in err
     assert not (tmp_path / "out").exists()
 
 

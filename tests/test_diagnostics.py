@@ -67,6 +67,15 @@ def test_truth_summary_validation():
         TruthSummary(theta_star=1.0, jump_qv=1e308, horizon=1e-10)
 
 
+def test_sandwich_variance_refuses_what_float64_cannot_hold():
+    # 2 theta_dagger^2 overflows although its square does not; a theta_star
+    # this far below jump_qv / T leaves 1 - ratio^2 at 0
+    with pytest.raises(ConfigurationError, match="sandwich variance overflows at theta_star = 1.2e"):
+        sandwich_variance(TruthSummary(theta_star=1.2e154, jump_qv=0.0, horizon=1.0), 1)
+    with pytest.raises(ConfigurationError, match="underflows to 0 at theta_star = 1e-300"):
+        sandwich_variance(TruthSummary(theta_star=1e-300, jump_qv=45.0, horizon=1.0), 1)
+
+
 def test_truth_summary_refuses_a_theta_dagger_whose_square_overflows():
     # sandwich_variance and the bvm limit square theta_dagger, where a float
     # above about 1.34e154 raises OverflowError

@@ -1,7 +1,10 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpvol import (
     ConfigurationError,
@@ -18,6 +21,7 @@ from jumpvol import (
     simulate_path,
     write_coverage_csv,
 )
+from jumpvol.harness import _derive_seeds
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 PRIOR = InverseGammaParams(1.0, 1.0)
@@ -35,11 +39,57 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(7, 0, 0) != derive_seed(8, 0, 0)
 
 
+def _seed_sequence_seed(base_seed, cell_index, rep_index):
+    """derive_seed's definition with numpy's SeedSequence: the oracle."""
+    ss = np.random.SeedSequence(base_seed, spawn_key=(cell_index, rep_index))
+    return sum(int(w) << (32 * i) for i, w in enumerate(ss.generate_state(4, np.uint32)))
+
+
+#: Values at and around the uint32 word boundaries, where the number of
+#: entropy words, and so the number of hash-mix rounds, changes.
+_EDGE_BASES = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64, 2**96 + 3, 2**128 - 1, 2**130 + 11]
+_EDGE_INDICES = [0, 1, 255, 2**32 - 1, 2**32, 2**32 + 3, 2**33 + 5]
+
+
+def test_derive_seed_is_seed_sequence_state_on_edge_triples():
+    for base in _EDGE_BASES:
+        for cell in _EDGE_INDICES:
+            for rep in _EDGE_INDICES:
+                assert derive_seed(base, cell, rep) == _seed_sequence_seed(base, cell, rep)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    base=st.integers(0, 2**200),
+    cell=st.integers(0, 2**70),
+    rep=st.integers(0, 2**70),
+)
+def test_derive_seed_is_seed_sequence_state(base, cell, rep):
+    assert derive_seed(base, cell, rep) == _seed_sequence_seed(base, cell, rep)
+
+
+@pytest.mark.parametrize(
+    "reps",
+    [range(0), range(7, 8), range(0, 300), range(256, 512),
+     range(2**32 - 300, 2**32 - 1), range(2**32 - 3, 2**32 + 3), range(2**40, 2**40 + 4)],
+)
+def test_derived_seed_block_is_the_scalar_call(reps):
+    for base in (0, 2**32, 2**130 + 11):
+        for cell in (0, 2**33 + 5):
+            assert _derive_seeds(base, cell, reps) == [derive_seed(base, cell, r) for r in reps]
+
+
+def test_derive_seed_refuses_negative_indices_as_seed_sequence_does():
+    for triple in [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            derive_seed(*triple)
+
+
 def test_derive_seed_collision_scan():
+    # each cell's 100,000 seeds come from one block call of the shipping kernel
     seen = set()
     for cell in range(10):
-        for rep in range(100_000):
-            seen.add(derive_seed(123, cell, rep))
+        seen.update(_derive_seeds(123, cell, range(100_000)))
     assert len(seen) == 1_000_000
 
 

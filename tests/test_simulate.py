@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jumpvol import (
     ConfigurationError,
@@ -14,6 +16,7 @@ from jumpvol import (
     PathTruth,
     SamplePath,
     SizeTable,
+    TwoPointSizes,
     bin_jumps,
     derive_seed,
     simulate_jumps,
@@ -22,6 +25,7 @@ from jumpvol import (
     write_increments_csv,
 )
 from jumpvol.cli import main
+from jumpvol.simulate import _child_streams
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -193,6 +197,57 @@ def test_bin_jumps_window_edges():
     assert mu[1] == 1.0
 
 
+def _bin_jumps_with_add_at(jumps, n, horizon):
+    """The per-window sums and counts by ``np.add.at``: the reference for
+    ``bin_jumps``, which must equal it bit for bit."""
+    mu = np.zeros(n)
+    counts = np.zeros(n, dtype=int)
+    idx = np.minimum((jumps.times * (n / horizon)).astype(int), n - 1)
+    np.add.at(mu, idx, jumps.sizes)
+    np.add.at(counts, idx, 1)
+    return mu, counts
+
+
+#: Sizes whose sum depends on the order of addition, mixed into any floats.
+_SIZES = st.sampled_from([1.0, -1.0, 0.1, 1e16, -1e16, 5e-324]) | st.floats(
+    -1e300, 1e300, allow_subnormal=True
+).filter(lambda v: v != 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    n=st.integers(1, 50),
+    cells=st.lists(
+        st.tuples(st.integers(0, 3) | st.integers(0, 49), st.floats(0.0, 1.0, exclude_max=True)),
+        max_size=40,
+    ),
+    sizes=st.lists(_SIZES, min_size=40, max_size=40),
+)
+# 1 + 1e16 rounds to 1e16, so this window sums to 0.0 in jump order, 1.0 in reverse
+@example(n=2, cells=[(1, 0.1), (1, 0.2), (1, 0.3)], sizes=[1.0, 1e16, -1e16] + [1.0] * 37)
+def test_bin_jumps_matches_add_at_bit_for_bit(n, cells, sizes):
+    # windows are drawn first, so several jumps share one window and their
+    # sum shows the order of addition; zero jumps too
+    times = np.unique([(i % n + frac) / n for i, frac in cells])
+    times = times[(times > 0.0) & (times < 1.0)]
+    jumps = JumpRealization(times=times, sizes=np.array(sizes[: times.size]))
+    mu, counts = bin_jumps(jumps, n, 1.0)
+    expected_mu, expected_counts = _bin_jumps_with_add_at(jumps, n, 1.0)
+    assert mu.tobytes() == expected_mu.tobytes()
+    assert counts.dtype == expected_counts.dtype
+    assert np.array_equal(counts, expected_counts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**64), count=st.integers(0, 300), tau=st.floats(1e-300, 1e300))
+def test_two_point_sizes_draw_what_rng_choice_draws(seed, count, tau):
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = TwoPointSizes(tau).sample(ours, count)
+    expected = oracle.choice(np.array([-tau, tau]), size=count)
+    assert drawn.tobytes() == expected.tobytes()
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
 def test_bin_jumps_rejects_times_outside_horizon():
     realization = JumpRealization(times=np.array([1.5]), sizes=np.array([1.0]))
     with pytest.raises(ConfigurationError):
@@ -205,6 +260,38 @@ def test_bin_jumps_refuses_more_windows_than_an_array_holds():
     n = np.iinfo(np.intp).max // 8 + 1
     with pytest.raises(ConfigurationError, match=f"n is {n}, more than an array can hold"):
         bin_jumps(empty, n=n, horizon=1.0)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, np.uint64(2**63 + 5), True]
+)
+def test_integer_seed_streams_are_seed_sequence_children(seed):
+    # the oracle: numpy's own children (0,) and (1,) through default_rng
+    kernel = _child_streams(seed)
+    oracle = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+    assert [g.bit_generator.state for g in kernel] == [g.bit_generator.state for g in oracle]
+    paths = []
+    for jump_stream, diff_stream in (kernel, oracle):
+        jumps = simulate_jumps(JUMPS, DIFF.horizon, seed=jump_stream)
+        paths.append(simulate_path_given_jumps(DIFF, jumps, 300, seed=diff_stream))
+    assert [g.bit_generator.state for g in kernel] == [g.bit_generator.state for g in oracle]
+    path = simulate_path(DIFF, JUMPS, 300, seed=seed)
+    for other in paths:
+        assert path.increments.tobytes() == other.increments.tobytes()
+        assert path.truth.mu.tobytes() == other.truth.mu.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**200))
+def test_integer_seed_streams_match_seed_sequence_at_any_size(seed):
+    kernel = _child_streams(seed)
+    oracle = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+    assert [g.bit_generator.state for g in kernel] == [g.bit_generator.state for g in oracle]
+
+
+def test_negative_seed_fails_as_seed_sequence_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        simulate_path(DIFF, JUMPS, n=100, seed=-1)
 
 
 def test_seed_sequence_accepted_as_seed():
