@@ -194,9 +194,10 @@ _prior = _object(
 
 # entries shared by several commands
 _MODEL = (_model, _model({}, "model"))
-_PRIOR = (_prior, InverseGammaParams(1.0, 1.0))
-_THRESHOLD = (_threshold, ThresholdRule.iqr())
+_PRIOR = (_prior, CoverageConfig.prior)
+_THRESHOLD = (_threshold, CoverageConfig.threshold)
 _LEVEL = (_float, CoverageConfig.level)
+_N_GRID = (_ints, (1000, 4000, 16000))
 _SEED = (_seed, DEFAULT_SEED)
 _OUT = (_str, "-")
 
@@ -234,7 +235,7 @@ _SCHEMAS = {
     },
     "diag bvm": {
         "model": _MODEL,
-        "n_grid": (_ints, (1000, 4000, 16000)),
+        "n_grid": _N_GRID,
         "reps": (_int, 200),
         "prior": _PRIOR,
         "threshold": _THRESHOLD,
@@ -258,7 +259,7 @@ _SCHEMAS = {
     },
     "diag qvrate": {
         "model": _MODEL,
-        "n_grid": (_ints, (1000, 4000, 16000)),
+        "n_grid": _N_GRID,
         "reps": (_int, 500),
         "threshold": _THRESHOLD,
         "seed": _SEED,
@@ -314,8 +315,14 @@ def _write_text(out, text: str) -> None:
 
 
 def _diag_csv(rows) -> str:
+    """The diagnostic's CSV; an infinite cell is refused (a ``nan`` is
+    documented where it appears)."""
     lines = ["n,statistic,value,mc_stderr"]
     for n, statistic, value, stderr in rows:
+        if math.isinf(value) or (stderr is not None and math.isinf(stderr)):
+            raise NumericError(
+                f"{statistic} at n = {n} is not finite: {value!r}, mc_stderr {stderr!r}"
+            )
         n_txt = "" if n is None else str(n)
         se_txt = "" if stderr is None else repr(float(stderr))
         lines.append(f"{n_txt},{statistic},{float(value)!r},{se_txt}")

@@ -11,6 +11,18 @@ the biased target it actually estimates, and the jump QV estimator's error rate.
 
 from __future__ import annotations
 
+__all__ = [
+    "BvmRow",
+    "MseOracleResult",
+    "QvRateResult",
+    "TruthSummary",
+    "bvm_convergence_check",
+    "mse_oracle",
+    "qv_error_rate",
+    "sandwich_variance",
+    "tv_distance",
+]
+
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -18,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .harness import replicate
+from .harness import CoverageConfig, replicate
 from .posterior import InverseGammaParams, NormalApprox, compute_mle, infer_increments
 from .simulate import (
     DiffusionSpec,
@@ -51,6 +63,12 @@ _TV_LADDER.flags.writeable = False
 
 #: Gauss–Legendre nodes and weights on [-1, 1], applied on every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+#: Smallest sd, relative to its mean, of a normal limit handed to the TV
+#: quadrature: the float spacing at the mean is then at most sqrt(eps) of an
+#: sd.  The mass check first fails near 1e-12, where the nodes round onto a
+#: few floats.
+_LIMIT_RESOLUTION = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -113,9 +131,29 @@ def _resolved(value: float, what: str, truth: TruthSummary) -> float:
     return value
 
 
+def _limit(mean: float, variance: float, what: str, truth: TruthSummary) -> NormalApprox:
+    """The normal limit ``N(mean, variance)`` if float64 resolves it: its
+    variance (see :func:`_resolved`) and its sd at its mean; otherwise the
+    error naming the volatility at fault."""
+    limit = NormalApprox(mean, _resolved(variance, what, truth))
+    if limit.sd < _LIMIT_RESOLUTION * abs(mean):
+        raise ConfigurationError(
+            f"{what} gives an sd of {limit.sd!r}, which float64 cannot resolve at the "
+            f"mean {mean!r}, at theta_star = {truth.theta_star!r}"
+        )
+    return limit
+
+
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Monte Carlo mean of ``values`` and its standard error."""
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+    """Monte Carlo mean of ``values`` and its standard error, both taken of
+    ``values / 2**k`` with ``2**k`` near their largest magnitude, so that no
+    square overflows, and scaled back.  Scaling by a power of two is exact."""
+    scale = 2.0 ** math.frexp(float(np.max(np.abs(values))))[1]
+    scaled = values / scale
+    return (
+        float(scaled.mean()) * scale,
+        float(scaled.std(ddof=1) / math.sqrt(values.size)) * scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +273,17 @@ def _bvm_distances(diff, jumps, prior, rule, n, seed) -> tuple[float, float]:
     path = simulate_path(diff, jumps, n, seed=seed)
     truth = TruthSummary.from_path(diff, path)
     inf = infer_increments(path.increments, path.horizon, rule, prior)
-    limit_tempered = NormalApprox(
-        mean=inf.theta_hat,
-        variance=_resolved(
-            2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
-            "the tempered limit variance 2 kappa_dagger theta_dagger^2 / n",
-            truth,
-        ),
+    limit_tempered = _limit(
+        inf.theta_hat,
+        2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
+        "the tempered limit variance 2 kappa_dagger theta_dagger^2 / n",
+        truth,
     )
-    limit_modified = NormalApprox(
-        mean=inf.theta_hat - inf.modified.shift,
-        variance=_resolved(
-            2.0 * truth.theta_star**2 / n, "the limit variance 2 theta_star^2 / n", truth
-        ),
+    limit_modified = _limit(
+        inf.theta_hat - inf.modified.shift,
+        2.0 * truth.theta_star**2 / n,
+        "the limit variance 2 theta_star^2 / n",
+        truth,
     )
     return tv_distance(inf.posterior, limit_tempered), tv_distance(inf.modified, limit_modified)
 
@@ -258,8 +294,8 @@ def bvm_convergence_check(
     n_grid,
     reps: int,
     seed: int,
-    prior: InverseGammaParams | None = None,
-    threshold: ThresholdRule | None = None,
+    prior: InverseGammaParams = CoverageConfig.prior,
+    threshold: ThresholdRule = CoverageConfig.threshold,
 ) -> list[BvmRow]:
     """Mean TV distance to the normal limits along an increasing n grid."""
     grid = [int(n) for n in n_grid]
@@ -267,9 +303,7 @@ def bvm_convergence_check(
         raise ConfigurationError("n_grid must be strictly increasing with >= 2 entries")
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
-    prior = prior if prior is not None else InverseGammaParams(1.0, 1.0)
-    rule = threshold if threshold is not None else ThresholdRule.iqr()
-    stat = partial(_bvm_distances, diff, jumps, prior, rule)
+    stat = partial(_bvm_distances, diff, jumps, prior, threshold)
     rows = []
     for n, distances in zip(grid, replicate(stat, grid, reps, seed)):
         tempered, modified = (_mean_and_stderr(np.array(tv)) for tv in zip(*distances))
@@ -396,7 +430,7 @@ def qv_error_rate(
     n_grid,
     reps: int,
     seed: int,
-    threshold: ThresholdRule | None = None,
+    threshold: ThresholdRule = CoverageConfig.threshold,
 ) -> QvRateResult:
     """Monte Carlo error-rate regression for the thresholded estimator.
 
@@ -412,8 +446,7 @@ def qv_error_rate(
         raise ConfigurationError("n_grid must span at least one decade")
     if reps < 200:
         raise ConfigurationError(f"need at least 200 replications, got {reps}")
-    rule = threshold if threshold is not None else ThresholdRule.iqr()
-    results = replicate(partial(_qv_error, diff, jumps, rule), grid, reps, seed)
+    results = replicate(partial(_qv_error, diff, jumps, threshold), grid, reps, seed)
     mae, stderr = zip(*(_mean_and_stderr(np.array(errors)) for errors in results))
     if min(mae) <= 0.0:
         slope = math.nan

@@ -5,6 +5,15 @@ I/O or memory failures with 3, and degenerate inference or a numeric
 routine that missed its tolerance with 4.
 """
 
+__all__ = [
+    "ConfigurationError",
+    "DegenerateDataError",
+    "DegenerateInferenceError",
+    "InsufficientDataError",
+    "JumpvolError",
+    "NumericError",
+]
+
 
 class JumpvolError(Exception):
     """Base class for all errors raised by this package."""

@@ -9,6 +9,14 @@ so results are bitwise reproducible whatever the worker count.
 
 from __future__ import annotations
 
+__all__ = [
+    "CoverageConfig",
+    "CoverageRow",
+    "derive_seed",
+    "run_coverage",
+    "write_coverage_csv",
+]
+
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass

@@ -17,6 +17,25 @@ posterior is close to ``N(theta_hat - jump_qv_hat / T, 2 * center^2 / n)``.
 
 from __future__ import annotations
 
+__all__ = [
+    "CredibleInterval",
+    "GibbsPosterior",
+    "Inference",
+    "InverseGammaParams",
+    "KAPPA_FLOOR",
+    "NormalApprox",
+    "TruncatedPosterior",
+    "bvm_normal",
+    "compute_kappa",
+    "compute_mle",
+    "credible_interval",
+    "gibbs_update",
+    "infer_increments",
+    "mle_from_increments",
+    "modify_posterior",
+    "tempered_update",
+]
+
 import math
 from dataclasses import dataclass, field, replace
 

@@ -19,6 +19,23 @@ serialization.
 
 from __future__ import annotations
 
+__all__ = [
+    "DiffusionSpec",
+    "IncrementData",
+    "JumpRealization",
+    "JumpSpec",
+    "PathTruth",
+    "SamplePath",
+    "SizeTable",
+    "TwoPointSizes",
+    "bin_jumps",
+    "read_increments_csv",
+    "simulate_jumps",
+    "simulate_path",
+    "simulate_path_given_jumps",
+    "write_increments_csv",
+]
+
 import csv
 import io
 import operator

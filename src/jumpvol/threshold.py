@@ -9,6 +9,13 @@ works because almost all increments come from the diffusion part.
 
 from __future__ import annotations
 
+__all__ = [
+    "QvEstimate",
+    "ThresholdRule",
+    "estimate_jump_qv",
+    "interquartile_threshold",
+]
+
 import math
 from dataclasses import dataclass
 

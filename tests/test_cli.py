@@ -963,6 +963,48 @@ def test_diag_volatility_that_underflows_exits_2(diag, config, what, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_diag_bvm_limit_too_narrow_to_resolve_exits_2(tmp_path, capsys):
+    config = {"model": {"theta_star": 1e-160, "jump_rate": 0.0}, "n_grid": [200, 400], "reps": 100}
+    code, err = _run_with_config(["diag", "bvm"], config, tmp_path, capsys)
+    assert code == 2
+    assert "cannot resolve at the mean" in err and "at theta_star = 1e-160" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "diag, config",
+    [
+        pytest.param(
+            "mse", {"model": {"theta_star": 1e150}, "reps": 1000, "n": 100}, id="mse-1e150"
+        ),
+        pytest.param(
+            "qvrate",
+            {"model": {"theta_star": 1e200}, "n_grid": [100, 300, 1000], "reps": 200},
+            id="qvrate-1e200",
+        ),
+    ],
+)
+def test_diag_stderr_of_large_values_is_finite(diag, config, tmp_path, capsys):
+    # the squares behind each mc_stderr would overflow unscaled
+    code, _ = _run_with_config(["diag", diag], config, tmp_path, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in (tmp_path / "out").read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[2:] if cell)
+
+
+def test_diag_cell_that_is_not_finite_exits_4(tmp_path, capsys):
+    # the sample variance of theta_hat around 3e153 overflows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"theta_star": 3e153}, "reps": 1000, "n": 100}))
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(["diag", "mse", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 4
+    diagnostic = json.loads(stdout)
+    assert diagnostic["error"] == "numeric"
+    assert diagnostic["message"].startswith("empirical_variance at n = 100 is not finite: inf")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from jumpvol.diagnostics import (
     _TAIL_FRACTION,
     _TV_LADDER,
     _bvm_distances,
+    _mean_and_stderr,
 )
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
@@ -342,6 +343,26 @@ def test_bvm_check_well_specified_benchmark():
     assert rows[-1].tv_tempered < 0.05
     assert rows[-1].tv_modified < 0.05
     assert rows[1].tv_tempered < rows[0].tv_tempered
+
+
+def test_bvm_check_refuses_a_limit_too_narrow_to_resolve():
+    # without jumps the drift puts theta_hat near beta^2 T / n = 5e-3, where an
+    # sd of about 1e-161 is far below the float spacing: every TV node would
+    # round onto the limit's mean
+    diff = DiffusionSpec(beta=1.0, theta_star=1e-160, horizon=1.0)
+    with pytest.raises(ConfigurationError, match="cannot resolve at the mean .* = 1e-160$"):
+        bvm_convergence_check(diff, JumpSpec.two_point(0.0, 3.0), (200, 400), reps=100, seed=0)
+
+
+def test_mean_and_stderr_is_exact_and_finite_at_any_scale():
+    values = np.random.default_rng(3).random(1000)
+    plain = (values.mean(), values.std(ddof=1) / math.sqrt(values.size))
+    assert _mean_and_stderr(values) == plain
+    # a power of two scales every step exactly, up to where the squares overflow
+    assert _mean_and_stderr(values * 2.0**600) == tuple(v * 2.0**600 for v in plain)
+    mean, stderr = _mean_and_stderr(values * 1e307)
+    assert (mean, stderr) == pytest.approx((plain[0] * 1e307, plain[1] * 1e307), rel=1e-12)
+    assert _mean_and_stderr(np.zeros(5)) == (0.0, 0.0)
 
 
 def test_bvm_check_validation():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import gammainccinv
 
 from jumpvol import (
     ConfigurationError,
@@ -266,3 +268,51 @@ def test_coverage_csv_layout():
     fields = lines[1].split(",")
     assert len(fields) == 8
     assert fields[0] == "4.0" and fields[2] == "300" and fields[3] == "5"
+
+
+# ---------------------------------------------------------------------------
+# exact oracle
+# ---------------------------------------------------------------------------
+
+def _exact_coverage(diff: DiffusionSpec, n: int, level: float, prior) -> float:
+    """Coverage of the interval when nothing is flagged (kappa = 1, no shift).
+
+    The posterior is then IG(a + n/2, b + S / (2 delta)) with ``S = sum D_i^2``
+    and ``delta = T / n``, so it covers theta* exactly when ``2 delta (theta*
+    y_q - b)`` at ``q = 1 - alpha/2`` <= S <= the same at ``q = alpha/2``, with
+    ``y_q = gammainccinv(a + n/2, q)``.  ``S / (theta* delta)`` is chi2(n), or
+    noncentral with ``lambda = beta^2 T / theta*`` under a drift.
+    """
+    delta = diff.horizon / n
+    alpha = 1.0 - level
+    y = gammainccinv(prior.shape + n / 2.0, [1.0 - alpha / 2.0, alpha / 2.0])
+    s_lo, s_hi = 2.0 * delta * (diff.theta_star * y - prior.rate)
+    lam = diff.beta**2 * diff.horizon / diff.theta_star
+    law = stats.chi2(n) if lam == 0.0 else stats.ncx2(n, lam)
+    scale = diff.theta_star * delta
+    return float(law.cdf(s_hi / scale) - law.cdf(s_lo / scale))
+
+
+@pytest.mark.parametrize(
+    "n, beta, level, prior",
+    [
+        (50, 0.0, 0.95, InverseGammaParams(1.0, 1.0)),
+        (200, 1.0, 0.9, InverseGammaParams(3.0, 20.0)),
+        (1000, 0.0, 0.8, InverseGammaParams(0.5, 0.1)),
+        (50, 20.0, 0.95, InverseGammaParams(1.0, 1.0)),
+        (400, 20.0, 0.99, InverseGammaParams(2.0, 5.0)),
+    ],
+)
+def test_coverage_without_flagging_matches_the_exact_value(n, beta, level, prior):
+    # fixed:inf flags nothing, so coverage has a closed form: a fault in the
+    # tempered update, the quantile or the count shows at every seed
+    reps = 1000
+    diff = DiffusionSpec(beta=beta, theta_star=10.0, horizon=1.0)
+    config = CoverageConfig(
+        diff, lambda_grid=(0.0,), tau_grid=(1.0,), n_grid=(n,), reps=reps, level=level,
+        threshold=ThresholdRule.fixed(math.inf), prior=prior, base_seed=17,
+    )
+    (row,) = run_coverage(config)
+    exact = _exact_coverage(diff, n, level, prior)
+    assert row.degenerate_count == 0
+    assert abs(row.coverage - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / reps)
