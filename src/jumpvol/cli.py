@@ -76,7 +76,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an integer within float range, which ``float()`` converts."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _leaf(what: str, valid, convert=None):
@@ -272,11 +273,11 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
     except FileNotFoundError as err:
         raise ConfigurationError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8 JSON, or too long or deep to decode
         raise ConfigurationError(f"invalid JSON in {path}: {err}") from err
     if not isinstance(config, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
@@ -315,11 +316,12 @@ def _write_text(out, text: str) -> None:
 
 
 def _diag_csv(rows) -> str:
-    """The diagnostic's CSV; an infinite cell is refused (a ``nan`` is
-    documented where it appears)."""
+    """The diagnostic's CSV.  A cell that is not finite is refused, except the
+    documented ``nan`` of ``qv_mae_log_slope`` when an MAE is 0."""
     lines = ["n,statistic,value,mc_stderr"]
     for n, statistic, value, stderr in rows:
-        if math.isinf(value) or (stderr is not None and math.isinf(stderr)):
+        finite = math.isfinite(value) and (stderr is None or math.isfinite(stderr))
+        if not finite and not (statistic == "qv_mae_log_slope" and math.isnan(value)):
             raise NumericError(
                 f"{statistic} at n = {n} is not finite: {value!r}, mc_stderr {stderr!r}"
             )
@@ -551,19 +553,13 @@ def main(argv=None) -> int:
     except ConfigurationError as err:
         print(f"jumpvol: configuration error: {err}", file=sys.stderr)
         return 2
-    except DegenerateInferenceError as err:
-        diagnostic = {"error": "degenerate_inference", "message": str(err)}
-        sys.stdout.write(json.dumps(diagnostic, indent=2) + "\n")
+    except (DegenerateInferenceError, NumericError) as err:
+        kind = "numeric" if isinstance(err, NumericError) else "degenerate_inference"
+        sys.stdout.write(json.dumps({"error": kind, "message": str(err)}, indent=2) + "\n")
         return 4
-    except NumericError as err:
-        diagnostic = {"error": "numeric", "message": str(err)}
-        sys.stdout.write(json.dumps(diagnostic, indent=2) + "\n")
-        return 4
-    except OSError as err:
-        print(f"jumpvol: I/O error: {err}", file=sys.stderr)
-        return 3
-    except MemoryError as err:
-        print(f"jumpvol: out of memory: {err}", file=sys.stderr)
+    except (OSError, MemoryError) as err:
+        kind = "out of memory" if isinstance(err, MemoryError) else "I/O error"
+        print(f"jumpvol: {kind}: {err}", file=sys.stderr)
         return 3
 
 

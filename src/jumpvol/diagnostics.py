@@ -144,12 +144,18 @@ def _limit(mean: float, variance: float, what: str, truth: TruthSummary) -> Norm
     return limit
 
 
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """``values / 2**k`` and ``2**k``, with ``2**k`` near their largest
+    magnitude, so that no square or sum of the scaled values overflows.
+    Scaling by a power of two is exact."""
+    scale = 2.0 ** math.frexp(float(np.max(np.abs(values))))[1]
+    return values / scale, scale
+
+
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     """Monte Carlo mean of ``values`` and its standard error, both taken of
-    ``values / 2**k`` with ``2**k`` near their largest magnitude, so that no
-    square overflows, and scaled back.  Scaling by a power of two is exact."""
-    scale = 2.0 ** math.frexp(float(np.max(np.abs(values))))[1]
-    scaled = values / scale
+    the :func:`_scaled` values and scaled back."""
+    scaled, scale = _scaled(values)
     return (
         float(scaled.mean()) * scale,
         float(scaled.std(ddof=1) / math.sqrt(values.size)) * scale,
@@ -388,14 +394,16 @@ def mse_oracle(
     (estimates,) = replicate(partial(_mle_given_jumps, diff, fixed_jumps), [n], reps, seed)
     estimates = np.array(estimates)
     mse, mse_stderr = _mean_and_stderr((estimates - truth.theta_dagger) ** 2)
-    _, variance_stderr = _mean_and_stderr((estimates - estimates.mean()) ** 2)
+    squares = (estimates - estimates.mean()) ** 2
+    _, variance_stderr = _mean_and_stderr(squares)
+    scaled, scale = _scaled(squares)  # so the sum in estimates.var(ddof=1) cannot overflow
     return MseOracleResult(
         n=int(n),
         reps=int(reps),
         theta_dagger=float(truth.theta_dagger),
         empirical_mse=mse,
         empirical_mse_stderr=mse_stderr,
-        empirical_variance=float(estimates.var(ddof=1)),
+        empirical_variance=float(scaled.sum() / (reps - 1)) * scale,
         empirical_variance_stderr=variance_stderr,
         product_form=product_form,
         sandwich=sandwich,

@@ -2,13 +2,14 @@
 pinned by their sha256 in ``golden.json``.
 
 Each entry of ``golden.json`` names its ``inputs`` (files written before the
-run: a JSON object is written as JSON, a string as is), its ``argv`` and, as
-the keys of ``files``, the files whose bytes it pins.  The entries run in
-order in one directory through ``jumpvol.cli.main``, so an entry may read
-what an earlier one wrote.  ``tests/test_golden.py`` holds the code to the
-file; running this script rewrites the file from the code and prints every
-entry whose record moved (add an entry by hand, with ``null`` hashes, and run
-the script to fill it in)::
+run: a JSON object is written as JSON, a string as is, in UTF-8 but for the
+surrogate escapes ``\\udc80``-``\\udcff``, which stand for single bytes that
+are not UTF-8), its ``argv`` and, as the keys of ``files``, the files whose
+bytes it pins.  The entries run in order in one directory through
+``jumpvol.cli.main``, so an entry may read what an earlier one wrote.
+``tests/test_golden.py`` holds the code to the file; running this script
+rewrites the file from the code and prints every entry whose record moved (add
+an entry by hand, with ``null`` hashes, and run the script to fill it in)::
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -43,7 +44,8 @@ def _sha256(data: bytes) -> str:
 def _run_entry(entry: dict) -> dict:
     """``entry`` with its exit code and hashes as the code makes them now."""
     for path, content in entry["inputs"].items():
-        Path(path).write_text(content if isinstance(content, str) else json.dumps(content))
+        text = content if isinstance(content, str) else json.dumps(content)
+        Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(entry["argv"])

@@ -283,7 +283,9 @@ def _run_with_config(command, config, tmp_path, capsys):
 # n_grid entries <= 200, reps <= 3, workers <= 2, jump_rate <= 50,
 # density_grid <= 50, horizon <= 10), so no example allocates much memory or
 # starts more than two processes.  Junk strings use letters only, so an output
-# path stays in the working directory.
+# path stays in the working directory.  A number key now and then draws an
+# integer beyond float range, which it must refuse; the size keys never do,
+# as a huge size could allocate before a check refuses it.
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -317,32 +319,38 @@ def _object(fields, always=()):
     return draw_object()
 
 
+def _number(low, high):
+    """A float in [low, high], or one time in ten an integer beyond float range."""
+    huge = st.integers(2**1024, 2**1100).flatmap(lambda k: st.sampled_from([k, -k]))
+    return st.integers(0, 9).flatmap(lambda pick: huge if pick == 0 else st.floats(low, high))
+
+
 _DIFFUSION = {
-    "beta": st.floats(-5.0, 5.0),
-    "theta_star": st.floats(0.1, 20.0),
-    "horizon": st.floats(0.1, 10.0),
+    "beta": _number(-5.0, 5.0),
+    "theta_star": _number(0.1, 20.0),
+    "horizon": _number(0.1, 10.0),
 }
 _SIZE_LAW = st.one_of(
-    _object({"kind": st.just("two_point"), "tau": st.floats(0.1, 5.0)}, always=["kind", "tau"]),
-    _object({"kind": st.just("fixed"), "value": st.floats(0.1, 5.0)}, always=["kind", "value"]),
+    _object({"kind": st.just("two_point"), "tau": _number(0.1, 5.0)}, always=["kind", "tau"]),
+    _object({"kind": st.just("fixed"), "value": _number(0.1, 5.0)}, always=["kind", "value"]),
     _object(
         {
             "kind": st.just("table"),
-            "values": st.lists(st.floats(0.1, 5.0), max_size=3),
+            "values": st.lists(_number(0.1, 5.0), max_size=3),
             "probs": st.sampled_from([[1.0], [0.5, 0.5], [0.2], []]),
         },
         always=["kind", "values", "probs"],
     ),
     st.sampled_from([{"kind": "zz"}, {"tau": 1.0}]),
 )
-_MODEL = _object({**_DIFFUSION, "jump_rate": st.floats(0.0, 50.0), "jump_sizes": _SIZE_LAW})
+_MODEL = _object({**_DIFFUSION, "jump_rate": _number(0.0, 50.0), "jump_sizes": _SIZE_LAW})
 _PRIOR = _object(
-    {"shape": st.floats(0.1, 10.0), "rate": st.floats(0.1, 10.0)}, always=["shape", "rate"]
+    {"shape": _number(0.1, 10.0), "rate": _number(0.1, 10.0)}, always=["shape", "rate"]
 )
 _THRESHOLD = st.one_of(
     st.sampled_from(["iqr", "iqr:5", "fixed:0.5", "fixed:inf", "iqr:0", "zz:1", "iqr:x"]),
     _object(
-        {"kind": st.sampled_from(["iqr", "fixed", "zz"]), "value": st.floats(0.1, 10.0)},
+        {"kind": st.sampled_from(["iqr", "fixed", "zz"]), "value": _number(0.1, 10.0)},
         always=["kind", "value"],
     ),
 )
@@ -354,7 +362,7 @@ _N_GRID = st.one_of(
     st.just([10, 40, 160]),
 )
 _REPS = st.integers(1, 3)
-_LEVEL = st.floats(0.05, 0.99)
+_LEVEL = _number(0.05, 0.99)
 
 _CONFIG_KEYS = {
     "simulate": {
@@ -363,7 +371,7 @@ _CONFIG_KEYS = {
     "infer": {
         "input": _PATH,
         "out": _PATH,
-        "horizon": st.floats(0.1, 10.0),
+        "horizon": _number(0.1, 10.0),
         "threshold": _THRESHOLD,
         "prior": _PRIOR,
         "level": _LEVEL,
@@ -373,8 +381,8 @@ _CONFIG_KEYS = {
     },
     "coverage": {
         "model": _object(_DIFFUSION),
-        "lambda_grid": st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3),
-        "tau_grid": st.lists(st.floats(0.1, 5.0), min_size=1, max_size=3),
+        "lambda_grid": st.lists(_number(0.0, 50.0), min_size=1, max_size=3),
+        "tau_grid": st.lists(_number(0.1, 5.0), min_size=1, max_size=3),
         "n_grid": _N_GRID,
         "reps": _REPS,
         "level": _LEVEL,
@@ -389,8 +397,8 @@ _CONFIG_KEYS = {
         "threshold": _THRESHOLD, "seed": _SEED, "out": _PATH,
     },
     "diag sandwich": {
-        "theta_star": st.floats(0.1, 20.0), "jump_qv": st.floats(0.0, 20.0),
-        "horizon": st.floats(0.1, 10.0), "n": _N, "out": _PATH,
+        "theta_star": _number(0.1, 20.0), "jump_qv": _number(0.0, 20.0),
+        "horizon": _number(0.1, 10.0), "n": _N, "out": _PATH,
     },
     "diag mse": {
         "model": _MODEL, "n": _N, "reps": _REPS, "jumps_seed": _SEED, "seed": _SEED,
@@ -977,6 +985,10 @@ def test_diag_bvm_limit_too_narrow_to_resolve_exits_2(tmp_path, capsys):
         pytest.param(
             "mse", {"model": {"theta_star": 1e150}, "reps": 1000, "n": 100}, id="mse-1e150"
         ),
+        # the sum of squared deviations behind empirical_variance would overflow
+        pytest.param(
+            "mse", {"model": {"theta_star": 3e153}, "reps": 1000, "n": 100}, id="mse-3e153"
+        ),
         pytest.param(
             "qvrate",
             {"model": {"theta_star": 1e200}, "n_grid": [100, 300, 1000], "reps": 200},
@@ -993,16 +1005,83 @@ def test_diag_stderr_of_large_values_is_finite(diag, config, tmp_path, capsys):
 
 
 def test_diag_cell_that_is_not_finite_exits_4(tmp_path, capsys):
-    # the sample variance of theta_hat around 3e153 overflows
+    # a jump of 1e200 has a square of inf, so each absolute QV error is nan
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": {"theta_star": 3e153}, "reps": 1000, "n": 100}))
+    config = {
+        "model": {"jump_sizes": {"kind": "two_point", "tau": 1e200}},
+        "n_grid": [20, 60, 200],
+        "reps": 200,
+    }
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    code, stdout, _ = run_cli(["diag", "mse", "--config", str(cfg), "--out", str(out)], capsys)
+    code, stdout, _ = run_cli(["diag", "qvrate", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 4
     diagnostic = json.loads(stdout)
     assert diagnostic["error"] == "numeric"
-    assert diagnostic["message"].startswith("empirical_variance at n = 100 is not finite: inf")
+    assert diagnostic["message"].startswith("qv_mae at n = 20 is not finite: nan")
     assert not out.exists()
+
+
+# A JSON integer beyond float range, which a number key refuses.
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "argv, config, env, code, fragment",
+    [
+        pytest.param(["simulate"], b'{"out": "\xff\xfe"}', {}, 2, "invalid JSON in cfg.json",
+                     id="not-utf8"),
+        pytest.param(["simulate"], '{"n": 1' + "0" * 5000 + "}", {}, 2, "invalid JSON in cfg.json",
+                     id="too-many-digits"),
+        pytest.param(["simulate"], "[" * 100_000 + "]" * 100_000, {}, 2, "invalid JSON in cfg.json",
+                     id="too-deep"),
+        pytest.param(["simulate"], "{", {}, 2, "invalid JSON in cfg.json", id="not-json"),
+        pytest.param(["simulate"], "[1]", {}, 2, "config cfg.json must be a JSON object",
+                     id="not-an-object"),
+        pytest.param(["simulate", "--config", "missing.json"], None, {}, 2,
+                     "config file not found: missing.json", id="missing-config"),
+        pytest.param(["simulate"], {"model": {"theta_star": _HUGE}}, {}, 2,
+                     "config key 'theta_star' must be a number", id="huge-theta-star"),
+        pytest.param(["infer"], {"level": _HUGE}, {}, 2, "config key 'level' must be a number",
+                     id="huge-level"),
+        pytest.param(["simulate"],
+                     {"model": {"jump_sizes": {"kind": "table", "values": [_HUGE], "probs": [1]}}},
+                     {}, 2, "config key 'values' must be a list of numbers",
+                     id="huge-table-value"),
+        pytest.param(["infer"], {"prior": {"shape": 2.0}}, {}, 2, "config key 'rate' is missing",
+                     id="missing-nested-key"),
+        pytest.param(["infer"], {"threshold": 5}, {}, 2, "cannot interpret threshold 5",
+                     id="threshold-of-wrong-type"),
+        pytest.param(["simulate"], None, {"JUMPVOL_SEED": "abc"}, 2,
+                     "JUMPVOL_SEED must be an integer, got 'abc'", id="env-seed-not-an-integer"),
+        pytest.param(["simulate", "--tau", "0"], None, {}, 2,
+                     "two-point size law requires tau > 0, got 0.0", id="simulate-tau-of-0"),
+        pytest.param(["diag", "qvrate"],
+                     {"model": {"jump_rate": 0.0}, "threshold": "fixed:inf",
+                      "n_grid": [20, 60, 200], "reps": 200},
+                     {}, 0, "\n200,qv_mae,0.0,0.0\n,qv_mae_log_slope,nan,\n",
+                     id="qvrate-nan-slope"),
+    ],
+)
+def test_boundary_input_exits_with_its_code(
+    argv, config, env, code, fragment, tmp_path, capsys, monkeypatch
+):
+    # the code and message of each boundary rule, never a traceback (a jump of
+    # 1e200 is the case of test_diag_cell_that_is_not_finite_exits_4); a config
+    # object is written as JSON, a string or bytes as they are
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    (tmp_path / "raw.csv").write_text("0.1\n-0.2\n0.3\n-0.4\n0.5\n")
+    if config is not None:
+        text = json.dumps(config) if isinstance(config, dict) else config
+        (tmp_path / "cfg.json").write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = argv + ["--config", "cfg.json"]
+    if argv[0] == "infer":
+        argv = argv + ["--input", "raw.csv"]
+    got, out, err = run_cli(argv + ["--out", "-"], capsys)
+    assert (got, "Traceback" in err) == (code, False)
+    assert fragment in out + err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from jumpvol import (
@@ -352,6 +353,39 @@ def test_bvm_check_refuses_a_limit_too_narrow_to_resolve():
     diff = DiffusionSpec(beta=1.0, theta_star=1e-160, horizon=1.0)
     with pytest.raises(ConfigurationError, match="cannot resolve at the mean .* = 1e-160$"):
         bvm_convergence_check(diff, JumpSpec.two_point(0.0, 3.0), (200, 400), reps=100, seed=0)
+
+
+def test_bvm_check_without_flagging_matches_the_quadrature_oracle():
+    # at rate 0, beta 0 and fixed:inf, kappa = 1 and the shift is 0, so both
+    # TVs depend on the data only through S = sum D_i^2, where S / (theta*
+    # delta) is chi2(n): the mean TV is one integral over that law, whatever
+    # the seeds
+    theta_star, horizon, prior = 10.0, 1.0, InverseGammaParams(1.0, 1.0)
+    rows = bvm_convergence_check(
+        DiffusionSpec(beta=0.0, theta_star=theta_star, horizon=horizon),
+        JumpSpec.two_point(0.0, 3.0),
+        (200, 400),
+        reps=400,
+        seed=11,
+        prior=prior,
+        threshold=ThresholdRule.fixed(math.inf),
+    )
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    for row in rows:
+        delta = horizon / row.n
+        law = stats.chi2(row.n)
+        lo, hi = law.ppf([1e-12, 1.0 - 1e-12])
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        tv = [
+            tv_distance(
+                stats.invgamma(prior.shape + row.n / 2, scale=prior.rate + s / (2 * delta)),
+                stats.norm(s / horizon, theta_star * math.sqrt(2.0 / row.n)),
+            )
+            for s in theta_star * delta * x
+        ]
+        oracle = 0.5 * (hi - lo) * float(np.dot(weights * law.pdf(x), tv))
+        assert abs(row.tv_tempered - oracle) <= 3.0 * row.tv_tempered_stderr
+        assert abs(row.tv_modified - oracle) <= 3.0 * row.tv_modified_stderr
 
 
 def test_mean_and_stderr_is_exact_and_finite_at_any_scale():
