@@ -30,19 +30,19 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .harness import CoverageConfig, replicate
-from .posterior import InverseGammaParams, NormalApprox, compute_mle, infer_increments
+from .harness import CoverageConfig, _chunks, _inferred_chunks, _simulated_chunks, replicate
+from .posterior import InverseGammaParams, NormalApprox
 from .simulate import (
     DiffusionSpec,
     JumpRealization,
     JumpSpec,
     PathTruth,
     SamplePath,
+    _check_increments,
+    _path_rows,
     bin_jumps,
-    simulate_path,
-    simulate_path_given_jumps,
 )
-from .threshold import ThresholdRule, estimate_jump_qv
+from .threshold import ThresholdRule, _flag_rows, _threshold_error
 
 #: Tails are truncated where both densities fall below this fraction of
 #: their peaks.
@@ -88,6 +88,8 @@ class TruthSummary:
     def __post_init__(self):
         if not (np.isfinite(self.theta_star) and self.theta_star > 0):
             raise ConfigurationError(f"theta_star must be positive, got {self.theta_star}")
+        if self.jump_qv == math.inf:
+            raise ConfigurationError("jump_qv is inf: the squared jump sizes overflow float64")
         if not (np.isfinite(self.jump_qv) and self.jump_qv >= 0):
             raise ConfigurationError(f"jump_qv must be nonnegative, got {self.jump_qv}")
         if not (np.isfinite(self.horizon) and self.horizon > 0):
@@ -274,24 +276,30 @@ class BvmRow:
     tv_modified_stderr: float
 
 
-def _bvm_distances(diff, jumps, prior, rule, n, seed) -> tuple[float, float]:
-    """TV distances of the tempered and shifted posteriors to their limits."""
-    path = simulate_path(diff, jumps, n, seed=seed)
-    truth = TruthSummary.from_path(diff, path)
-    inf = infer_increments(path.increments, path.horizon, rule, prior)
-    limit_tempered = _limit(
-        inf.theta_hat,
-        2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
-        "the tempered limit variance 2 kappa_dagger theta_dagger^2 / n",
-        truth,
-    )
-    limit_modified = _limit(
-        inf.theta_hat - inf.modified.shift,
-        2.0 * truth.theta_star**2 / n,
-        "the limit variance 2 theta_star^2 / n",
-        truth,
-    )
-    return tv_distance(inf.posterior, limit_tempered), tv_distance(inf.modified, limit_modified)
+def _bvm_distances(diff, jumps, prior, rule, n, seeds) -> list[tuple[float, float]]:
+    """TV distances of the tempered and shifted posteriors to their limits,
+    one pair per seed.  The paths are simulated and inferred in the row
+    chunks of the coverage experiment."""
+    distances = []
+    for mu, rows in _inferred_chunks(diff, jumps, n, seeds, rule, prior):
+        for i, window_sums in enumerate(mu):
+            truth = TruthSummary(diff.theta_star, PathTruth(window_sums).jump_qv, rows.horizon)
+            inf = rows.inference(i)
+            limit_tempered = _limit(
+                inf.theta_hat,
+                2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
+                "the tempered limit variance 2 kappa_dagger theta_dagger^2 / n",
+                truth,
+            )
+            limit_modified = _limit(
+                inf.theta_hat - inf.modified.shift,
+                2.0 * truth.theta_star**2 / n,
+                "the limit variance 2 theta_star^2 / n",
+                truth,
+            )
+            distances.append((tv_distance(inf.posterior, limit_tempered),
+                              tv_distance(inf.modified, limit_modified)))
+    return distances
 
 
 def bvm_convergence_check(
@@ -369,8 +377,16 @@ class MseOracleResult:
         return abs(self.empirical_mse - self.sandwich) / self.sandwich
 
 
-def _mle_given_jumps(diff, fixed_jumps, n, seed) -> float:
-    return compute_mle(simulate_path_given_jumps(diff, fixed_jumps, n, seed=seed))
+def _mles_given_jumps(diff, fixed_jumps, n, seeds) -> list[float]:
+    """``compute_mle(simulate_path_given_jumps(diff, fixed_jumps, n, seed))``
+    for each seed, a chunk of rows at a time."""
+    _check_increments(n)
+    horizon = n * (diff.horizon / n)  # SamplePath.horizon
+    mles = []
+    for chunk in _chunks(n, seeds):
+        increments, _ = _path_rows(diff, [fixed_jumps] * len(chunk), n, chunk)
+        mles += (np.sum(increments * increments, axis=-1) / horizon).tolist()
+    return mles
 
 
 def mse_oracle(
@@ -391,7 +407,7 @@ def mse_oracle(
         2.0 * diff.theta_star * truth.theta_dagger / n, "the product form", truth
     )
     sandwich = sandwich_variance(truth, n)
-    (estimates,) = replicate(partial(_mle_given_jumps, diff, fixed_jumps), [n], reps, seed)
+    (estimates,) = replicate(partial(_mles_given_jumps, diff, fixed_jumps), [n], reps, seed)
     estimates = np.array(estimates)
     mse, mse_stderr = _mean_and_stderr((estimates - truth.theta_dagger) ** 2)
     squares = (estimates - estimates.mean()) ** 2
@@ -425,11 +441,19 @@ class QvRateResult:
     slope: float
 
 
-def _qv_error(diff, jumps, rule, n, seed) -> float:
-    """Absolute error of the thresholded jump QV estimate on one path."""
-    path = simulate_path(diff, jumps, n, seed=seed)
-    estimate = estimate_jump_qv(path.increments, rule.resolve(path.increments))
-    return abs(estimate.jump_qv_hat - path.truth.jump_qv)
+def _qv_errors(diff, jumps, rule, n, seeds) -> list[float]:
+    """Absolute error of the thresholded jump QV estimate, one path per seed,
+    a chunk of rows at a time."""
+    errors = []
+    for increments, mu in _simulated_chunks(diff, jumps, n, seeds):
+        eta = rule.resolve(increments)
+        _, hats = _flag_rows(increments, eta)
+        for i, window_sums in enumerate(mu):
+            error = _threshold_error(float(eta[i]))  # as estimate_jump_qv refuses it
+            if error is not None:
+                raise error
+            errors.append(abs(float(hats[i]) - PathTruth(window_sums).jump_qv))
+    return errors
 
 
 def qv_error_rate(
@@ -454,7 +478,7 @@ def qv_error_rate(
         raise ConfigurationError("n_grid must span at least one decade")
     if reps < 200:
         raise ConfigurationError(f"need at least 200 replications, got {reps}")
-    results = replicate(partial(_qv_error, diff, jumps, threshold), grid, reps, seed)
+    results = replicate(partial(_qv_errors, diff, jumps, threshold), grid, reps, seed)
     mae, stderr = zip(*(_mean_and_stderr(np.array(errors)) for errors in results))
     if min(mae) <= 0.0:
         slope = math.nan

@@ -25,16 +25,17 @@ from itertools import chain, islice, product
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInferenceError
-from .posterior import InverseGammaParams, credible_interval, infer_increments
+from .errors import ConfigurationError
+from .posterior import InverseGammaParams, _infer_rows
 from .simulate import (
     _MASK32,
     DiffusionSpec,
     JumpSpec,
+    _child_streams,
     _opened,
     _seed_states,
+    _simulate_rows,
     _spawned_entropy,
-    simulate_path,
 )
 from .threshold import ThresholdRule
 
@@ -43,6 +44,9 @@ COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerat
 #: Replications per task of :func:`replicate`.  Coverage sums its widths per
 #: block and then across blocks, in block order.
 _BLOCK = 256
+#: Increments per chunk of rows that the experiments simulate and infer as
+#: one array: a chunk that stays in cache is what makes the array pass pay.
+_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,16 @@ def _derive_seeds(base_seed: int, cell_index: int, reps: range) -> list[int]:
 
 def _run_block(task) -> list:
     stat, cell, index, base_seed, block = task
-    return [stat(cell, seed) for seed in _derive_seeds(base_seed, index, block)]
+    return stat(cell, _derive_seeds(base_seed, index, block))
 
 
 def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[list]:
-    """``stat(cells[index], derive_seed(base_seed, index, rep))`` for ``rep <
-    reps``, one list per cell in rep order.  Blocks of ``_BLOCK`` replications
-    run in turn or, for ``workers > 1``, in a process pool, for which ``stat``
-    and the cells must pickle; the results do not depend on the worker count."""
+    """One result per replication ``rep < reps`` of each cell, one list per
+    cell in rep order.  ``stat(cells[index], seeds)`` gives the results of a
+    block of replications, one per seed in ``seeds``: ``derive_seed(base_seed,
+    index, rep)`` for the block's reps.  Blocks of ``_BLOCK`` replications run
+    in turn or, for ``workers > 1``, in a process pool, for which ``stat`` and
+    the cells must pickle; the results do not depend on the worker count."""
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     blocks = [range(start, min(start + _BLOCK, reps)) for start in range(0, reps, _BLOCK)]
@@ -147,19 +153,39 @@ def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[
     return [list(chain.from_iterable(islice(results, len(blocks)))) for _ in cells]
 
 
-def _coverage_outcome(cfg: CoverageConfig, cell, seed) -> tuple[bool, float] | None:
-    """One replication: simulate, infer and check whether the interval covers
-    the true volatility.  Returns that and the interval's width, or None if
-    the inference is degenerate.  ``cell`` holds the jump law and the sample
-    size."""
+def _chunks(n: int, rows: list) -> list[list]:
+    """``rows`` in runs of about ``_CHUNK`` increments, ``n`` to a row."""
+    step = max(1, _CHUNK // n)
+    return [rows[start:start + step] for start in range(0, len(rows), step)]
+
+
+def _simulated_chunks(diff: DiffusionSpec, jumps: JumpSpec, n: int, seeds):
+    """The increments and per-window jump sums of the paths of ``seeds``, as
+    :func:`simulate_path` draws them, one chunk of rows at a time."""
+    for streams in _chunks(n, _child_streams(seeds)):
+        yield _simulate_rows(diff, jumps, n, streams)
+
+
+def _inferred_chunks(diff: DiffusionSpec, jumps: JumpSpec, n: int, seeds, rule, prior):
+    """The per-window jump sums and the row inference of the paths of
+    ``seeds``, one chunk of rows at a time."""
+    horizon = n * (diff.horizon / n)  # SamplePath.horizon
+    for increments, mu in _simulated_chunks(diff, jumps, n, seeds):
+        yield mu, _infer_rows(increments, horizon, rule, prior)
+
+
+def _coverage_block(cfg: CoverageConfig, cell, seeds) -> list[tuple[bool, float] | None]:
+    """Whether each seed's interval covers the true volatility, and its
+    width, or None where the inference is degenerate.  ``cell`` holds the
+    jump law and the sample size."""
     jumps, n = cell
-    path = simulate_path(cfg.diffusion, jumps, n, seed=seed)
-    try:
-        inf = infer_increments(path.increments, path.horizon, cfg.threshold, cfg.prior)
-    except DegenerateInferenceError:
-        return None
-    interval = credible_interval(inf.modified, cfg.level)
-    return interval.contains(cfg.diffusion.theta_star), interval.width
+    theta_star = cfg.diffusion.theta_star
+    outcomes = []
+    for _, rows in _inferred_chunks(cfg.diffusion, jumps, n, seeds, cfg.threshold, cfg.prior):
+        los, his = rows.intervals(cfg.level)
+        for lo, hi in zip(los.tolist(), his.tolist()):
+            outcomes.append(None if math.isnan(lo) else (lo <= theta_star <= hi, hi - lo))
+    return outcomes
 
 
 def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
@@ -169,7 +195,7 @@ def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
     blocks; the output is identical for any worker count.
     """
     cells = config.cells()
-    stat = partial(_coverage_outcome, config)
+    stat = partial(_coverage_block, config)
     jumps = [(JumpSpec.two_point(lam, tau), n) for lam, tau, n in cells]
     results = replicate(stat, jumps, config.reps, config.base_seed, workers)
     rows = []

@@ -46,10 +46,11 @@ from .errors import (
     ConfigurationError,
     DegenerateDataError,
     DegenerateInferenceError,
+    JumpvolError,
     NumericError,
 )
 from .simulate import SamplePath
-from .threshold import QvEstimate, ThresholdRule, estimate_jump_qv
+from .threshold import QvEstimate, ThresholdRule, _flag_rows, _threshold_error
 
 #: Temperatures below this floor mean essentially all variation was flagged
 #: as jumps; inference is refused rather than numerically exploded.
@@ -146,35 +147,33 @@ def _levels(q) -> np.ndarray:
     return q
 
 
-def _invgamma_ppf(q, shape: float, rate: float):
+def _invgamma_ppf(q, shape, rate):
     """Inverse-gamma quantiles ``rate / Q^{-1}(shape, q)``, with ``Q`` the
-    regularized upper incomplete gamma function, at a float or an array of
-    levels ``q``; a float level gives a float.
+    regularized upper incomplete gamma function, at levels ``q`` broadcast
+    against ``shape`` and ``rate``; all three floats give a float.
 
     Where ``gammainccinv`` misses :data:`QUANTILE_TOL` (from shapes of about
     3.5e7 near ``q = 1 - 1e-6``), a bracketed root solve of the same residual
     refines that element; every other quantile is the closed form as is.
     """
     q = _levels(q)
-    levels = q.ravel()
-    y = sc.gammainccinv(shape, levels)
-    # y is 0 or subnormal where the quantile overflows; Python's division
-    # gives x = +inf there without a floating-point warning
-    x = np.array([rate / v if v > 0.0 else math.inf for v in y.tolist()])
-    excess = (sc.gammaincc(shape, rate / x) - levels).tolist()
-    for i, e in enumerate(excess):
-        if abs(e) <= QUANTILE_TOL:
-            continue
-        level = float(levels[i])
-        if 0.0 < y[i] < math.inf:
-            x[i] = rate / _gammaincc_root(shape, level, float(y[i]))
-        residual = abs(float(sc.gammaincc(shape, rate / x[i])) - level)
+    y = sc.gammainccinv(shape, q)
+    # y is 0 or subnormal where the quantile overflows, and x = +inf there
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.where(y > 0.0, rate / y, math.inf)
+    excess = sc.gammaincc(shape, rate / x) - q
+    for i in np.flatnonzero(~(np.abs(excess) <= QUANTILE_TOL)).tolist():
+        a, b, level, guess = (float(np.broadcast_to(v, x.shape).flat[i])
+                              for v in (shape, rate, q, y))
+        if 0.0 < guess < math.inf:
+            x.flat[i] = b / _gammaincc_root(a, level, guess)
+        residual = abs(float(sc.gammaincc(a, b / x.flat[i])) - level)
         if not residual <= QUANTILE_TOL:
             raise NumericError(
-                f"quantile out of tolerance: shape={shape}, rate={rate}, "
-                f"q={level}, x={x[i]}, mass residual={residual:.3e}"
+                f"quantile out of tolerance: shape={a}, rate={b}, "
+                f"q={level}, x={x.flat[i]}, mass residual={residual:.3e}"
             )
-    return x.reshape(q.shape) if q.ndim else float(x[0])
+    return x if x.ndim else float(x)
 
 
 @dataclass(frozen=True)
@@ -385,13 +384,18 @@ def modify_posterior(post: GibbsPosterior, qv: QvEstimate, horizon: float) -> Gi
     return replace(post, shift=qv.jump_qv_hat / horizon)
 
 
-def credible_interval(mod, level: float) -> CredibleInterval:
-    """Equal-tailed credible interval from any object whose ``ppf`` takes an
-    array of levels."""
+def _tail_levels(level: float) -> np.ndarray:
+    """The levels of an equal-tailed interval of mass ``level``."""
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"level must lie in (0, 1), got {level}")
     alpha = 1.0 - level
-    lo, hi = mod.ppf(np.array([alpha / 2.0, 1.0 - alpha / 2.0])).tolist()
+    return np.array([alpha / 2.0, 1.0 - alpha / 2.0])
+
+
+def credible_interval(mod, level: float) -> CredibleInterval:
+    """Equal-tailed credible interval from any object whose ``ppf`` takes an
+    array of levels."""
+    lo, hi = mod.ppf(_tail_levels(level)).tolist()
     return CredibleInterval(level=level, lo=lo, hi=hi)
 
 
@@ -428,6 +432,133 @@ class Inference:
     modified: GibbsPosterior
 
 
+def _error(make, *args) -> JumpvolError:
+    """The error that ``make(*args)`` raises."""
+    try:
+        make(*args)
+    except JumpvolError as err:
+        return err
+    raise AssertionError(f"{make.__name__}{args} raised no error")
+
+
+@dataclass(frozen=True, eq=False)
+class _RowInference:
+    """The stages of :func:`infer_increments` on each row of an ``(m, n)``
+    block, one array entry per row, and per row the error that the call on
+    that row alone raises (None where it returns)."""
+
+    n: int
+    horizon: float
+    eta: np.ndarray
+    flags: np.ndarray
+    jump_qv_hat: np.ndarray
+    theta_hat: np.ndarray
+    kappa: np.ndarray
+    shape: np.ndarray
+    rate: np.ndarray
+    shift: np.ndarray
+    faults: list
+
+    def inference(self, i: int) -> Inference:
+        """Row ``i`` as :func:`infer_increments` gives it, or its error raised."""
+        if self.faults[i] is not None:
+            raise self.faults[i]
+        flagged = tuple((np.flatnonzero(self.flags[i]) + 1).tolist())
+        post = GibbsPosterior(InverseGammaParams(float(self.shape[i]), float(self.rate[i])))
+        return Inference(
+            n=self.n,
+            theta_hat=float(self.theta_hat[i]),
+            qv=QvEstimate(float(self.eta[i]), float(self.jump_qv_hat[i]), flagged),
+            kappa=float(self.kappa[i]),
+            posterior=post,
+            modified=GibbsPosterior(post.ig, float(self.shift[i])),
+        )
+
+    def intervals(self, level: float) -> tuple[np.ndarray, np.ndarray]:
+        """The ends of each row's :func:`credible_interval` of the shifted
+        posterior, NaN where the row's inference is degenerate.  The first
+        other error of a row's inference is raised once the intervals of the
+        rows before it are formed."""
+        stop = next((i for i, fault in enumerate(self.faults)
+                     if fault is not None and not isinstance(fault, DegenerateInferenceError)),
+                    len(self.faults))
+        rows = np.flatnonzero([fault is None for fault in self.faults[:stop]])
+        ends = _invgamma_ppf(_tail_levels(level), self.shape[rows, None], self.rate[rows, None])
+        ends -= self.shift[rows, None]
+        disordered = np.flatnonzero(~(ends[:, 0] <= ends[:, 1]))
+        if disordered.size:
+            CredibleInterval(level, *ends[disordered[0]].tolist())  # raises
+        if stop < len(self.faults):
+            raise self.faults[stop]
+        lo, hi = np.full((2, len(self.faults)), math.nan)
+        lo[rows], hi[rows] = ends.T
+        return lo, hi
+
+
+def _infer_rows(
+    d: np.ndarray, horizon: float, rule: ThresholdRule, prior: InverseGammaParams
+) -> _RowInference:
+    """:func:`infer_increments` on each row of the ``(m, n)`` block ``d``.
+
+    A row's error is that of the first stage it fails, as the stage's own
+    function raises it on that row; an error of the whole block (too few
+    increments for the rule, a bad horizon) is every row's at its stage.
+    """
+    m, n = d.shape
+    no_row = np.zeros(m, dtype=bool)
+    # in stage order: the rows that pass a stage's check, given that they
+    # pass the checks before it, and the error of a row that fails it
+    checks = []
+
+    def not_finite(i: int) -> ConfigurationError | None:
+        bad = np.flatnonzero(~np.isfinite(d[i]))
+        if not bad.size:
+            return None  # finite increments whose squares overflow
+        return ConfigurationError(f"increment in row {bad[0] + 1} is not finite: {d[i, bad[0]]}")
+
+    # as in the stage functions' float arithmetic, an overflow gives inf and
+    # 0 / 0 gives NaN, without a warning; the checks refuse both
+    with np.errstate(all="ignore"):
+        squares = np.sum(d * d, axis=-1)
+    # a row whose sum of squares is finite has only finite increments
+    checks.append((np.isfinite(squares), not_finite))
+    try:
+        eta = rule.resolve(d)
+        checks.append((eta > 0, lambda i: _threshold_error(float(eta[i]))))
+    except ConfigurationError as err:
+        eta = np.full(m, math.nan)
+        checks.append((no_row, lambda i, error=err: error))
+    flags, hat = _flag_rows(d, eta)
+    if n < 1 or not (np.isfinite(horizon) and horizon > 0):
+        checks.append((no_row, lambda i, error=_error(mle_from_increments, d[0], horizon): error))
+    with np.errstate(all="ignore"):
+        theta_hat = squares / horizon
+        # C pow, as a float's ** 2 is; x * x differs in the last bit at times
+        kappa = np.float_power(1.0 - hat / (horizon * theta_hat), 2)
+        half = n / (2.0 * kappa)
+        shape, rate = prior.shape + half, prior.rate + half * theta_hat
+        shift = hat / horizon
+    positive = np.isfinite(theta_hat) & (theta_hat > 0)
+    checks.append((positive & (kappa > KAPPA_FLOOR), lambda i: _error(
+        compute_kappa, float(theta_hat[i]), QvEstimate(float(eta[i]), float(hat[i]), ()), horizon
+    )))
+    # past the checks above, the shape and the rate are positive and the
+    # shift is not negative
+    checks.append((np.isfinite(kappa) & np.isfinite(shape) & np.isfinite(rate), lambda i: _error(
+        tempered_update, prior, n, float(theta_hat[i]), float(kappa[i])
+    )))
+    checks.append((np.isfinite(shift), lambda i: _error(
+        GibbsPosterior, InverseGammaParams(float(shape[i]), float(rate[i])), float(shift[i])
+    )))
+    faults = [None] * m
+    for i in np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks])).tolist():
+        for ok, make in checks:
+            if not ok[i] and (fault := make(i)) is not None:
+                faults[i] = fault
+                break
+    return _RowInference(n, horizon, eta, flags, hat, theta_hat, kappa, shape, rate, shift, faults)
+
+
 def infer_increments(
     increments, horizon: float, rule: ThresholdRule, prior: InverseGammaParams
 ) -> Inference:
@@ -436,21 +567,8 @@ def infer_increments(
     Non-finite increments are rejected with a :class:`ConfigurationError`
     naming the first bad 1-based row.  When no temperature can be formed
     (``theta_hat`` is zero or ``kappa`` is at or below :data:`KAPPA_FLOOR`),
-    a :class:`DegenerateInferenceError` is raised.
+    a :class:`DegenerateInferenceError` is raised.  This is the one-row call
+    of the block inference the coverage and normal-limit experiments run.
     """
-    d = np.asarray(increments, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(d))
-    if bad.size:
-        raise ConfigurationError(f"increment in row {bad[0] + 1} is not finite: {d[bad[0]]}")
-    qv = estimate_jump_qv(d, rule.resolve(d))
-    theta_hat = mle_from_increments(d, horizon)
-    kappa = compute_kappa(theta_hat, qv, horizon)
-    post = tempered_update(prior, d.size, theta_hat, kappa)
-    return Inference(
-        n=d.size,
-        theta_hat=theta_hat,
-        qv=qv,
-        kappa=kappa,
-        posterior=post,
-        modified=modify_posterior(post, qv, horizon),
-    )
+    d = np.asarray(increments, dtype=float).reshape(1, -1)
+    return _infer_rows(d, horizon, rule, prior).inference(0)

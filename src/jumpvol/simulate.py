@@ -152,12 +152,27 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _child_streams(seed: int) -> list[np.random.Generator]:
-    """The generators ``default_rng`` makes of ``SeedSequence(seed).spawn(2)``."""
-    streams = []
-    for w in _seed_states(_spawned_entropy(seed, ()), [[0], [1]], 8):
-        state = np.array([w[j] | w[j + 1] << 32 for j in range(0, 8, 2)], dtype=np.uint64)
-        streams.append(np.random.Generator(np.random.PCG64(_StateWords(state))))
+def _child_streams(seeds) -> list[tuple[np.random.Generator, np.random.Generator]]:
+    """For each non-negative integer seed, the generators ``default_rng``
+    makes of ``SeedSequence(seed).spawn(2)``.  Seeds of one word count get
+    their states from one kernel call, over uint64 word arrays when there are
+    several: an array operation costs more than one on Python ints."""
+    entropy = [_spawned_entropy(seed, ()) for seed in seeds]
+    streams = [()] * len(entropy)
+    for size in {len(words) for words in entropy}:
+        rows = [i for i, words in enumerate(entropy) if len(words) == size]
+        words = entropy[rows[0]] if len(rows) == 1 else list(
+            np.array([entropy[i] for i in rows], dtype=np.uint64).T
+        )
+        children = []
+        for w in _seed_states(words, [[0], [1]], 8):
+            pcg_words = [w[j] | w[j + 1] << 32 for j in range(0, 8, 2)]
+            # one C-contiguous row of 4 state words per seed
+            states = np.array(pcg_words, dtype=np.uint64).reshape(4, -1).T.copy()
+            children.append([np.random.Generator(np.random.PCG64(_StateWords(state)))
+                             for state in states])
+        for i, pair in zip(rows, zip(*children)):
+            streams[i] = pair
     return streams
 
 
@@ -331,7 +346,8 @@ class PathTruth:
     @property
     def jump_qv(self) -> float:
         nz = self.mu[self.mu != 0.0]
-        return float(np.sum(nz * nz))
+        with np.errstate(over="ignore"):  # inf past the float range; TruthSummary refuses it
+            return float(np.sum(nz * nz))
 
     @property
     def jump_windows(self) -> tuple[int, ...]:
@@ -405,20 +421,64 @@ def simulate_jumps(spec: JumpSpec, horizon: float, seed: SeedLike = None) -> Jum
     return JumpRealization._unchecked(times, spec.size_law.sample(rng, count))
 
 
+def _windows(times: np.ndarray, n: int, horizon: float) -> np.ndarray:
+    """The 0-based window ``[t_{i-1}, t_i)`` of each jump time."""
+    if n < 1:
+        raise ConfigurationError(f"need at least one window, got n={n}")
+    _check_length(n, "n")
+    if np.any(times >= horizon):
+        raise ConfigurationError("jump times must lie strictly inside (0, horizon)")
+    return np.minimum((times * (n / horizon)).astype(int), n - 1)
+
+
 def bin_jumps(jumps: JumpRealization, n: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Assign jumps to the ``n`` sampling windows ``[t_{i-1}, t_i)``.
 
     Returns the per-window sums of jump sizes and the per-window jump counts.
     A window may receive several jumps; the sum is what the increment sees.
     """
-    if n < 1:
-        raise ConfigurationError(f"need at least one window, got n={n}")
-    _check_length(n, "n")
-    if np.any(jumps.times >= horizon):
-        raise ConfigurationError("jump times must lie strictly inside (0, horizon)")
-    idx = np.minimum((jumps.times * (n / horizon)).astype(int), n - 1)
+    idx = _windows(jumps.times, n, horizon)
     # bincount adds each window's sizes in jump order, starting from 0.0
     return np.bincount(idx, weights=jumps.sizes, minlength=n), np.bincount(idx, minlength=n)
+
+
+def _check_increments(n: int) -> None:
+    if n < 2:
+        raise ConfigurationError(f"need at least 2 increments, got n={n}")
+
+
+def _path_rows(diff: DiffusionSpec, realizations, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The increments and the per-window jump sums, each ``(m, n)``, of ``m``
+    paths: row ``i`` carries the jumps ``realizations[i]`` and draws its
+    normals from ``default_rng(seeds[i])``."""
+    m = len(realizations)
+    times = np.concatenate([jumps.times for jumps in realizations])
+    sizes = np.concatenate([jumps.sizes for jumps in realizations])
+    # one bincount over the block adds each window's sizes in jump order,
+    # from 0.0, as bin_jumps does for one path
+    rows = np.repeat(np.arange(0, m * n, n), [len(jumps) for jumps in realizations])
+    windows = _windows(times, n, diff.horizon) + rows
+    mu = np.bincount(windows, weights=sizes, minlength=m * n).reshape(m, n)
+    delta = diff.horizon / n
+    increments = np.empty((m, n))
+    for row, seed in zip(increments, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    # beta * delta + sqrt(theta_star * delta) * Z + mu, in place
+    increments *= np.sqrt(diff.theta_star * delta)
+    increments += diff.beta * delta
+    increments += mu
+    return increments, mu
+
+
+def _simulate_rows(
+    diff: DiffusionSpec, jumps: JumpSpec, n: int, streams
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_path_rows` of ``m`` paths of the full process: path ``i``
+    draws its jumps from ``streams[i][0]`` and its normals from
+    ``streams[i][1]``."""
+    _check_increments(n)
+    realizations = [simulate_jumps(jumps, diff.horizon, seed=stream) for stream, _ in streams]
+    return _path_rows(diff, realizations, n, [stream for _, stream in streams])
 
 
 def simulate_path_given_jumps(
@@ -430,14 +490,9 @@ def simulate_path_given_jumps(
     Brownian part is redrawn.  Truth fields are populated from the binned
     jumps.  Deterministic given ``seed``.
     """
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 increments, got n={n}")
-    delta = diff.horizon / n
-    mu, _ = bin_jumps(jumps, n, diff.horizon)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
-    increments = diff.beta * delta + np.sqrt(diff.theta_star * delta) * z + mu
-    return SamplePath(n=n, delta=delta, increments=increments, truth=PathTruth(mu))
+    _check_increments(n)
+    increments, mu = _path_rows(diff, [jumps], n, [seed])
+    return SamplePath(n, diff.horizon / n, increments[0], PathTruth(mu[0]))
 
 
 def simulate_path(
@@ -453,16 +508,16 @@ def simulate_path(
     ``SeedSequence(seed)``.  For an integer seed their ``PCG64`` states come
     from the package's own copy of the ``SeedSequence`` mix, which
     reproduces numpy's bit for bit; numpy's stays the reference in the tests.
+    This is the one-row call of the block simulator the coverage harness runs.
     """
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 increments, got n={n}")
+    _check_increments(n)
     if isinstance(seed, (int, np.integer)) and seed >= 0:
-        jump_stream, diff_stream = _child_streams(seed)
+        (streams,) = _child_streams([seed])
     else:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        jump_stream, diff_stream = ss.spawn(2)
-    realization = simulate_jumps(jumps, diff.horizon, seed=jump_stream)
-    return simulate_path_given_jumps(diff, realization, n, seed=diff_stream)
+        streams = ss.spawn(2)
+    increments, mu = _simulate_rows(diff, jumps, n, [streams])
+    return SamplePath(n, diff.horizon / n, increments[0], PathTruth(mu[0]))
 
 
 # ---------------------------------------------------------------------------

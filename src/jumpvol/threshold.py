@@ -26,29 +26,31 @@ from .errors import ConfigurationError, InsufficientDataError
 DEFAULT_IQR_MULTIPLIER = 5.0
 
 
-def _lerp(a: float, b: float, t: float) -> float:
+def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """numpy's linear interpolation: from ``a`` below ``t = 1/2``, from ``b``
     at and above it."""
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _quartiles(values: np.ndarray) -> tuple[float, float]:
-    """``np.quantile(values, [0.25, 0.75])`` bit for bit, from one sort of
-    the 1-d float array ``values`` (at least 2 long), which is reordered.
-    One sort costs less than numpy's partition at the five indices needed."""
+def _quartiles(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.quantile(values, [0.25, 0.75], axis=-1)`` bit for bit, from one
+    sort of each row of the float array ``values`` (at least 2 along its last
+    axis), which is reordered.  One sort costs less than numpy's partition at
+    the five indices needed."""
     # (n - 1) / 4 and 3 (n - 1) / 4 as whole positions and quarters: numpy's
     # virtual indices, which are exact in float64
-    lower, upper = divmod(values.size - 1, 4), divmod(3 * (values.size - 1), 4)
-    values.sort()
-    # a NaN sorts last, and np.quantile answers NaN then
-    if math.isnan(values[-1]):
-        return math.nan, math.nan
-    q1, q3 = (_lerp(float(values[k]), float(values[k + 1]), r / 4) for k, r in (lower, upper))
-    return q1, q3
+    n = values.shape[-1]
+    lower, upper = divmod(n - 1, 4), divmod(3 * (n - 1), 4)
+    values.sort(axis=-1)
+    q1, q3 = (_lerp(values[..., k], values[..., k + 1], r / 4) for k, r in (lower, upper))
+    # a NaN sorts last, and np.quantile answers NaN for that row then
+    unordered = np.isnan(values[..., -1])
+    return np.where(unordered, math.nan, q1), np.where(unordered, math.nan, q3)
 
 
-def interquartile_threshold(increments, multiplier: float = DEFAULT_IQR_MULTIPLIER) -> float:
-    """Threshold ``eta = multiplier * IQR(|D_1|, ..., |D_n|)``.
+def interquartile_threshold(increments, multiplier: float = DEFAULT_IQR_MULTIPLIER):
+    """Threshold ``eta = multiplier * IQR(|D_1|, ..., |D_n|)`` along the last
+    axis: a float for 1-d increments, one per row for a 2-d block.
 
     Quartiles use linear interpolation on the order statistics at positions
     ``1 + (n - 1) * p`` (numpy's default convention).  A zero IQR means the
@@ -56,15 +58,18 @@ def interquartile_threshold(increments, multiplier: float = DEFAULT_IQR_MULTIPLI
     returned and nothing gets flagged.
     """
     d = np.asarray(increments, dtype=float)
-    if d.size < 4:
-        raise InsufficientDataError(f"need at least 4 increments for the IQR rule, got {d.size}")
+    count = d.shape[-1] if d.ndim else d.size
+    if count < 4:
+        raise InsufficientDataError(f"need at least 4 increments for the IQR rule, got {count}")
     if not (np.isfinite(multiplier) and multiplier > 0):
         raise ConfigurationError(f"IQR multiplier must be positive, got {multiplier}")
-    q1, q3 = _quartiles(np.abs(d.ravel()))
-    spread = q3 - q1
-    if spread == 0.0:
-        return math.inf
-    return multiplier * spread
+    # infinite magnitudes give a NaN spread, and a product past the float
+    # range is inf; neither is an error here
+    with np.errstate(invalid="ignore", over="ignore"):
+        q1, q3 = _quartiles(np.abs(d))
+        spread = q3 - q1
+        eta = np.where(spread == 0.0, math.inf, multiplier * spread)
+    return eta if eta.ndim else float(eta)
 
 
 @dataclass(frozen=True)
@@ -110,11 +115,13 @@ class ThresholdRule:
             raise ConfigurationError(f"cannot parse threshold value in {text!r}") from err
         return cls(kind=kind, value=value)
 
-    def resolve(self, increments) -> float:
-        """Realized threshold for these increments."""
-        if self.kind == "fixed":
-            return self.value
-        return interquartile_threshold(increments, self.value)
+    def resolve(self, increments):
+        """Realized threshold for these increments: a float for 1-d
+        increments, one per row for a 2-d block."""
+        if self.kind == "iqr":
+            return interquartile_threshold(increments, self.value)
+        rows = np.shape(increments)[:-1]
+        return np.full(rows, self.value) if rows else self.value
 
 
 @dataclass(frozen=True)
@@ -130,12 +137,31 @@ class QvEstimate:
     flagged: tuple[int, ...]
 
 
+def _threshold_error(eta) -> ConfigurationError | None:
+    """The error for a threshold that is NaN or not positive, else None."""
+    if math.isnan(eta) or eta <= 0:
+        return ConfigurationError(f"threshold must be positive (or +inf), got {eta}")
+    return None
+
+
+def _flag_rows(d: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flags ``|D_i| > eta`` of each row of the 2-d block ``d`` against
+    its ``eta``, and each row's sum of squared flagged increments: one
+    reduction (numpy's pairwise sum) per row, as ``np.sum`` on the row alone."""
+    flags = np.abs(d) > eta[:, None]
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        squares = d[flags] ** 2
+    ends = np.cumsum(np.count_nonzero(flags, axis=1)).tolist()
+    hats = [np.add.reduce(squares[start:end]) for start, end in zip([0] + ends, ends)]
+    return flags, np.array(hats, dtype=float)
+
+
 def estimate_jump_qv(increments, eta: float) -> QvEstimate:
     """Sum of squared increments over the windows with ``|D_i| > eta``."""
     d = np.asarray(increments, dtype=float)
-    if math.isnan(eta) or eta <= 0:
-        raise ConfigurationError(f"threshold must be positive (or +inf), got {eta}")
-    mask = np.abs(d) > eta
-    flagged = tuple((np.flatnonzero(mask) + 1).tolist())
-    hat = float(np.sum(d[mask] ** 2))
-    return QvEstimate(eta=float(eta), jump_qv_hat=hat, flagged=flagged)
+    error = _threshold_error(eta)
+    if error is not None:
+        raise error
+    flags, hats = _flag_rows(d.reshape(1, -1), np.array([eta], dtype=float))
+    flagged = tuple((np.flatnonzero(flags) + 1).tolist())
+    return QvEstimate(eta=float(eta), jump_qv_hat=float(hats[0]), flagged=flagged)

@@ -1022,6 +1022,15 @@ def test_diag_cell_that_is_not_finite_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_jump_sizes_whose_squares_overflow_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    config = {"model": {"jump_sizes": {"kind": "two_point", "tau": 1e200}}, "n": 200, "reps": 1000}
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(["diag", "mse", "--config", str(cfg), "--out", "-"], capsys)
+    assert code == 2
+    assert "jump_qv is inf: the squared jump sizes overflow float64" in err
+
+
 # A JSON integer beyond float range, which a number key refuses.
 _HUGE = 10**400
 

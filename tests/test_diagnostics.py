@@ -67,6 +67,8 @@ def test_truth_summary_validation():
         TruthSummary(theta_star=1.0, jump_qv=45.0, horizon=0.0)
     with pytest.raises(ConfigurationError, match="overflows"):
         TruthSummary(theta_star=1.0, jump_qv=1e308, horizon=1e-10)
+    with pytest.raises(ConfigurationError, match="squared jump sizes overflow float64"):
+        TruthSummary(theta_star=1.0, jump_qv=math.inf, horizon=1.0)
 
 
 def test_sandwich_variance_refuses_what_float64_cannot_hold():
@@ -154,7 +156,7 @@ def test_bvm_distances_at_a_tempered_shape_of_2e8():
     # of shape size integrates to 1 - 1.1e-6 and fails the mass check
     jumps = JumpSpec.two_point(16.0, 8.0)
     seed = derive_seed(1, 1, 40)
-    tv_t, tv_m = _bvm_distances(DIFF, jumps, PRIOR, ThresholdRule.iqr(), 16000, seed)
+    ((tv_t, tv_m),) = _bvm_distances(DIFF, jumps, PRIOR, ThresholdRule.iqr(), 16000, [seed])
     assert 0.0 < tv_t < 0.01
     assert tv_m == pytest.approx(tv_t, abs=1e-9)
 

@@ -12,6 +12,7 @@ from jumpvol import (
     ConfigurationError,
     DegenerateDataError,
     DegenerateInferenceError,
+    InsufficientDataError,
     KAPPA_FLOOR,
     DiffusionSpec,
     GibbsPosterior,
@@ -35,7 +36,13 @@ from jumpvol import (
     tempered_update,
 )
 from jumpvol.diagnostics import _TV_LADDER, _gauss_legendre
-from jumpvol.posterior import QUANTILE_TOL, TruncatedPosterior, _gammaincc_root, _stirlerr
+from jumpvol.posterior import (
+    QUANTILE_TOL,
+    TruncatedPosterior,
+    _gammaincc_root,
+    _infer_rows,
+    _stirlerr,
+)
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -536,9 +543,9 @@ _increments = st.lists(st.integers(-(10**6), 10**6), min_size=4, max_size=60).ma
 )
 
 
-def _infer_or_none(d):
+def _infer_or_none(d, rule=ThresholdRule.iqr()):
     try:
-        return infer_increments(d, 1.0, ThresholdRule.iqr(), PRIOR)
+        return infer_increments(d, 1.0, rule, PRIOR)
     except DegenerateInferenceError:
         return None
 
@@ -583,3 +590,60 @@ def test_pipeline_intervals_nested_in_level(d, levels):
         inner = credible_interval(inf.modified, min(levels))
         outer = credible_interval(inf.modified, max(levels))
         assert outer.lo <= inner.lo <= inner.hi <= outer.hi
+
+
+@pytest.mark.parametrize("rule", [ThresholdRule.iqr(), ThresholdRule.fixed(0.04)])
+def test_block_inference_is_each_rows_inference(rule):
+    # rows that infer, that are degenerate (all zero; everything flagged) and
+    # that are refused (a NaN), each as infer_increments gives it alone
+    rng = np.random.default_rng(12)
+    block = rng.standard_normal((6, 50))
+    block[1] = 0.0
+    block[2, 9] = math.nan
+    block[4] *= 1e-3
+    rows = _infer_rows(block, 1.0, rule, PRIOR)
+    for i, row in enumerate(block):
+        try:
+            inf = infer_increments(row, 1.0, rule, PRIOR)
+        except (ConfigurationError, DegenerateInferenceError) as err:
+            assert type(rows.faults[i]) is type(err) and str(rows.faults[i]) == str(err)
+            continue
+        assert rows.faults[i] is None and rows.inference(i) == inf
+    # without the refused row, every interval is formed; NaN marks a degenerate row
+    kept = block[[0, 1, 3, 4, 5]]
+    lo, hi = _infer_rows(kept, 1.0, rule, PRIOR).intervals(0.9)
+    for row, a, b in zip(kept, lo.tolist(), hi.tolist()):
+        inf = _infer_or_none(row, rule)
+        if inf is None:
+            assert math.isnan(a) and math.isnan(b)
+        else:
+            interval = credible_interval(inf.modified, 0.9)
+            assert (a, b) == (interval.lo, interval.hi)
+
+
+def test_block_wide_errors_are_each_rows_error_at_its_stage():
+    # three increments are too few for the IQR rule, so every row fails at
+    # the threshold, but for the row whose NaN fails before it
+    block = np.array([[1.0, 2.0, 3.0], [1.0, math.nan, 3.0], [4.0, 5.0, 6.0]])
+    rows = _infer_rows(block, 1.0, ThresholdRule.iqr(), PRIOR)
+    assert [type(fault) for fault in rows.faults] == [
+        InsufficientDataError, ConfigurationError, InsufficientDataError]
+    for fault, row in zip(rows.faults, block):
+        with pytest.raises(ConfigurationError) as err:
+            infer_increments(row, 1.0, ThresholdRule.iqr(), PRIOR)
+        assert type(fault) is type(err.value) and str(fault) == str(err.value)
+    # a bad horizon fails every row at the MLE, after the threshold
+    rows = _infer_rows(np.ones((2, 8)), 0.0, ThresholdRule.fixed(0.5), PRIOR)
+    assert [str(fault) for fault in rows.faults] == ["horizon must be positive, got 0.0"] * 2
+
+
+def test_block_intervals_raise_the_first_refused_row_after_the_rows_before_it():
+    block = np.random.default_rng(13).standard_normal((3, 20))
+    block[2, 0] = math.inf
+    rows = _infer_rows(block, 1.0, ThresholdRule.iqr(), PRIOR)
+    assert rows.faults[:2] == [None, None]
+    with pytest.raises(ConfigurationError, match="increment in row 1 is not finite: inf"):
+        rows.intervals(0.95)
+    # a level out of range fails first, at the intervals of the rows before it
+    with pytest.raises(ConfigurationError, match="level must lie in"):
+        rows.intervals(1.5)

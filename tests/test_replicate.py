@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpvol import (
     BvmRow,
@@ -46,13 +48,13 @@ PRIOR = InverseGammaParams(1.0, 1.0)
 IQR = ThresholdRule.iqr()
 
 
-def _seed_of(cell, seed):
-    return cell, seed
+def _seeds_of(cell, seeds):
+    return [(cell, seed) for seed in seeds]
 
 
 def test_replicate_passes_each_rep_its_derived_seed_in_rep_order():
     # 300 reps cross the edge of the first 256-rep block
-    results = replicate(_seed_of, ["a", "b"], 300, 5)
+    results = replicate(_seeds_of, ["a", "b"], 300, 5)
     assert results == [
         [(cell, derive_seed(5, index, rep)) for rep in range(300)]
         for index, cell in enumerate(["a", "b"])
@@ -61,7 +63,7 @@ def test_replicate_passes_each_rep_its_derived_seed_in_rep_order():
 
 def test_replicate_rejects_fewer_than_one_worker():
     with pytest.raises(ConfigurationError):
-        replicate(_seed_of, ["a"], 3, 0, workers=0)
+        replicate(_seeds_of, ["a"], 3, 0, workers=0)
 
 
 def test_replicate_caps_the_pool_at_the_task_count(monkeypatch):
@@ -83,9 +85,9 @@ def test_replicate_caps_the_pool_at_the_task_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    results = replicate(_seed_of, ["a", "b"], 3, 5, workers=10**6)
+    results = replicate(_seeds_of, ["a", "b"], 3, 5, workers=10**6)
     assert sizes == [2]
-    assert results == replicate(_seed_of, ["a", "b"], 3, 5)
+    assert results == replicate(_seeds_of, ["a", "b"], 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +202,66 @@ def _csv(rows) -> str:
 
 
 @pytest.mark.parametrize(
-    "lambda_grid, tau_grid, threshold",
+    "lambda_grid, tau_grid, threshold, n, reps",
     [
-        ((4.0, 16.0), (2.0,), IQR),
+        pytest.param((4.0, 16.0), (2.0,), IQR, 500, 300,
+                     id="lambda_grid0-tau_grid0-threshold0"),
         # about one replication in seven is degenerate here
-        ((8.0,), (2.0,), ThresholdRule.fixed(0.04)),
+        pytest.param((8.0,), (2.0,), ThresholdRule.fixed(0.04), 500, 300,
+                     id="lambda_grid1-tau_grid1-threshold1"),
+        # 163 rows per chunk: a chunk edge inside the first 256-rep block,
+        # and a block edge at rep 256
+        pytest.param((4.0, 16.0), (2.0,), IQR, 200, 300, id="chunk-and-block-edges"),
+        # more increments than a chunk holds: one row per chunk
+        pytest.param((8.0,), (3.0,), IQR, 40_000, 5, id="one-row-chunks"),
+        pytest.param((0.0,), (1.0,), ThresholdRule.fixed(math.inf), 500, 300,
+                     id="no-jumps-nothing-flagged"),
+        pytest.param((8.0,), (2.0,), ThresholdRule.fixed(0.04), 2000, 300,
+                     id="fixed-0.04-at-n-2000"),
     ],
 )
-def test_coverage_matches_plain_loop(lambda_grid, tau_grid, threshold):
+def test_coverage_matches_plain_loop(lambda_grid, tau_grid, threshold, n, reps):
     config = CoverageConfig(
         diffusion=DIFF,
         lambda_grid=lambda_grid,
         tau_grid=tau_grid,
-        n_grid=(500,),
-        reps=300,
+        n_grid=(n,),
+        reps=reps,
         threshold=threshold,
         base_seed=3,
+    )
+    expected = _csv(_coverage_reference(config))
+    assert _csv(run_coverage(config, workers=1)) == expected
+    assert _csv(run_coverage(config, workers=2)) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    n=st.integers(4, 2500),
+    rate=st.sampled_from([0.0, 4.0, 16.0, 64.0]),
+    tau=st.floats(0.05, 8.0),
+    beta=st.floats(-5.0, 5.0),
+    level=st.floats(0.5, 0.999),
+    prior=st.sampled_from([PRIOR, InverseGammaParams(2.0, 0.5), InverseGammaParams(0.1, 10.0)]),
+    threshold=st.sampled_from(
+        [IQR, ThresholdRule.iqr(3.0), ThresholdRule.fixed(0.04), ThresholdRule.fixed(math.inf)]
+    ),
+    reps=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_coverage_matches_plain_loop_anywhere(
+    n, rate, tau, beta, level, prior, threshold, reps, seed
+):
+    config = CoverageConfig(
+        diffusion=DiffusionSpec(beta=beta, theta_star=10.0, horizon=1.0),
+        lambda_grid=(rate,),
+        tau_grid=(tau,),
+        n_grid=(n,),
+        reps=reps,
+        level=level,
+        threshold=threshold,
+        prior=prior,
+        base_seed=seed,
     )
     expected = _csv(_coverage_reference(config))
     assert _csv(run_coverage(config, workers=1)) == expected

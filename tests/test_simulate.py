@@ -25,7 +25,7 @@ from jumpvol import (
     write_increments_csv,
 )
 from jumpvol.cli import main
-from jumpvol.simulate import _child_streams
+from jumpvol.simulate import _child_streams, _simulate_rows
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -262,14 +262,23 @@ def test_bin_jumps_refuses_more_windows_than_an_array_holds():
         bin_jumps(empty, n=n, horizon=1.0)
 
 
-@pytest.mark.parametrize(
-    "seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, np.uint64(2**63 + 5), True]
-)
-def test_integer_seed_streams_are_seed_sequence_children(seed):
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, np.uint64(2**63 + 5), True]
+
+
+def _seed_sequence_children(seed) -> list[np.random.Generator]:
     # the oracle: numpy's own children (0,) and (1,) through default_rng
-    kernel = _child_streams(seed)
-    oracle = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
-    assert [g.bit_generator.state for g in kernel] == [g.bit_generator.state for g in oracle]
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+
+
+def _states(generators) -> list[dict]:
+    return [g.bit_generator.state for g in generators]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_integer_seed_streams_are_seed_sequence_children(seed):
+    (kernel,) = _child_streams([seed])
+    oracle = _seed_sequence_children(seed)
+    assert _states(kernel) == _states(oracle)
     paths = []
     for jump_stream, diff_stream in (kernel, oracle):
         jumps = simulate_jumps(JUMPS, DIFF.horizon, seed=jump_stream)
@@ -282,11 +291,19 @@ def test_integer_seed_streams_are_seed_sequence_children(seed):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(seed=st.integers(0, 2**200))
-def test_integer_seed_streams_match_seed_sequence_at_any_size(seed):
-    kernel = _child_streams(seed)
-    oracle = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
-    assert [g.bit_generator.state for g in kernel] == [g.bit_generator.state for g in oracle]
+@given(seeds=st.lists(st.integers(0, 2**200) | st.integers(0, 2**64), min_size=1, max_size=12))
+def test_integer_seed_streams_match_seed_sequence_at_any_size(seeds):
+    # one call over a list of seeds, of one word count or of several
+    assert [_states(pair) for pair in _child_streams(seeds)] == [
+        _states(_seed_sequence_children(seed)) for seed in seeds
+    ]
+
+
+def test_streams_of_a_seed_list_are_each_seeds_children():
+    # one call over seeds of one to five words, in an order that mixes them
+    seeds = _STREAM_SEEDS + _STREAM_SEEDS[::-1]
+    for pair, seed in zip(_child_streams(seeds), seeds, strict=True):
+        assert _states(pair) == _states(_seed_sequence_children(seed))
 
 
 def test_negative_seed_fails_as_seed_sequence_does():
@@ -405,3 +422,22 @@ def test_sample_path_invariant_checks():
     path = simulate_path(DIFF, JUMPS, n=100, seed=0)
     assert path.horizon == pytest.approx(1.0, rel=1e-12)
     assert path.times[-1] == pytest.approx(path.horizon)
+
+
+@pytest.mark.parametrize(
+    "jumps, n",
+    [
+        (JUMPS, 300),
+        # many jumps per window: the block's one bincount must add each
+        # window's sizes in the order one path's bincount does
+        (JumpSpec.table(400.0, [0.1, -0.7, 3.3], [0.5, 0.3, 0.2]), 40),
+        (JumpSpec.two_point(0.0, 1.0), 100),
+    ],
+)
+def test_simulated_rows_are_one_row_paths(jumps, n):
+    seeds = [derive_seed(2, 0, rep) for rep in range(7)]
+    increments, mu = _simulate_rows(DIFF, jumps, n, _child_streams(seeds))
+    for seed, row, row_mu in zip(seeds, increments, mu, strict=True):
+        path = simulate_path(DIFF, jumps, n, seed=seed)
+        assert row.tobytes() == path.increments.tobytes()
+        assert row_mu.tobytes() == path.truth.mu.tobytes()

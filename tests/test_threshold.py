@@ -79,18 +79,37 @@ _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 
         max_size=8,
     ),
     share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    rows=st.integers(1, 4),
 )
-def test_partition_quartiles_are_np_quantile_bit_for_bit(n, seed, pool, share):
+def test_partition_quartiles_are_np_quantile_bit_for_bit(n, seed, pool, share, rows):
     # a share of the increments comes from a small pool, so ties are common
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal(n)
-    tied = rng.random(n) < share
-    d[tied] = rng.choice(np.array(pool), int(tied.sum()))
+    block = rng.standard_normal((rows, n))
+    tied = rng.random((rows, n)) < share
+    block[tied] = rng.choice(np.array(pool), int(tied.sum()))
+    d = block[0]
     magnitudes = np.abs(d)
     expected = np.quantile(magnitudes, [0.25, 0.75])
     assert np.array(_quartiles(magnitudes.copy())).tobytes() == expected.tobytes()
     spread = float(expected[1] - expected[0])
     assert interquartile_threshold(d, 5.0) == (math.inf if spread == 0.0 else 5.0 * spread)
+    # along the last axis of a block, each row as on its own
+    expected = np.quantile(np.abs(block), [0.25, 0.75], axis=-1)
+    assert np.array(_quartiles(np.abs(block))).tobytes() == expected.tobytes()
+    by_row = [interquartile_threshold(row, 5.0) for row in block]
+    assert interquartile_threshold(block, 5.0).tobytes() == np.array(by_row).tobytes()
+
+
+def test_block_threshold_is_each_rows_threshold():
+    rng = np.random.default_rng(4)
+    block = rng.standard_normal((4, 40))
+    block[1, 5:] = 2.0  # over three quarters tied: a zero IQR, so eta is inf
+    block[2, 7] = math.nan
+    by_row = [interquartile_threshold(row) for row in block]
+    assert by_row[1] == math.inf and math.isnan(by_row[2])
+    assert interquartile_threshold(block).tobytes() == np.array(by_row).tobytes()
+    assert ThresholdRule.iqr().resolve(block).tobytes() == np.array(by_row).tobytes()
+    assert ThresholdRule.fixed(0.5).resolve(block).tolist() == [0.5] * 4
 
 
 def test_quartiles_of_magnitudes_with_a_nan_are_nan():
