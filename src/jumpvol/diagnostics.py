@@ -42,7 +42,7 @@ from .simulate import (
     _path_rows,
     bin_jumps,
 )
-from .threshold import ThresholdRule, _flag_rows, _threshold_error
+from .threshold import ThresholdRule, _flag_rows, estimate_jump_qv
 
 #: Tails are truncated where both densities fall below this fraction of
 #: their peaks.
@@ -447,12 +447,12 @@ def _qv_errors(diff, jumps, rule, n, seeds) -> list[float]:
     errors = []
     for increments, mu in _simulated_chunks(diff, jumps, n, seeds):
         eta = rule.resolve(increments)
+        refused = np.flatnonzero(~(eta > 0))
+        if refused.size:
+            estimate_jump_qv(increments[refused[0]], float(eta[refused[0]]))  # raises
         _, hats = _flag_rows(increments, eta)
-        for i, window_sums in enumerate(mu):
-            error = _threshold_error(float(eta[i]))  # as estimate_jump_qv refuses it
-            if error is not None:
-                raise error
-            errors.append(abs(float(hats[i]) - PathTruth(window_sums).jump_qv))
+        errors.extend(abs(hat - PathTruth(window_sums).jump_qv)
+                      for hat, window_sums in zip(hats.tolist(), mu))
     return errors
 
 

@@ -50,7 +50,7 @@ from .errors import (
     NumericError,
 )
 from .simulate import SamplePath
-from .threshold import QvEstimate, ThresholdRule, _flag_rows, _threshold_error
+from .threshold import QvEstimate, ThresholdRule, _flag_rows, estimate_jump_qv
 
 #: Temperatures below this floor mean essentially all variation was flagged
 #: as jumps; inference is refused rather than numerically exploded.
@@ -323,7 +323,14 @@ def mle_from_increments(increments, horizon: float) -> float:
         raise ConfigurationError("need at least one increment")
     if not (np.isfinite(horizon) and horizon > 0):
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    return float(np.sum(d * d)) / horizon
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        squares = float(np.sum(d * d))
+        theta_hat = squares / horizon
+    if theta_hat == math.inf:
+        raise ConfigurationError(
+            f"theta_hat = sum D_i^2 / horizon overflows: sum D_i^2 = {squares}, horizon = {horizon}"
+        )
+    return theta_hat
 
 
 def compute_mle(path: SamplePath) -> float:
@@ -368,8 +375,13 @@ def tempered_update(prior: InverseGammaParams, n: int, theta_hat: float, kappa: 
             f"temperature {kappa} out of range (must be finite and > {KAPPA_FLOOR:.0e})"
         )
     half = n / (2.0 * kappa)
-    ig = InverseGammaParams(shape=prior.shape + half, rate=prior.rate + half * theta_hat)
-    return GibbsPosterior(ig=ig)
+    shape, rate = prior.shape + half, prior.rate + half * theta_hat
+    for name, value in (("shape", shape), ("rate", rate)):
+        if value == math.inf:
+            raise ConfigurationError(
+                f"posterior {name} overflows to inf at theta_hat = {theta_hat}"
+            )
+    return GibbsPosterior(ig=InverseGammaParams(shape=shape, rate=rate))
 
 
 def gibbs_update(prior: InverseGammaParams, path: SamplePath, kappa: float) -> GibbsPosterior:
@@ -430,15 +442,6 @@ class Inference:
     kappa: float
     posterior: GibbsPosterior
     modified: GibbsPosterior
-
-
-def _error(make, *args) -> JumpvolError:
-    """The error that ``make(*args)`` raises."""
-    try:
-        make(*args)
-    except JumpvolError as err:
-        return err
-    raise AssertionError(f"{make.__name__}{args} raised no error")
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,60 +505,51 @@ def _infer_rows(
 
     A row's error is that of the first stage it fails, as the stage's own
     function raises it on that row; an error of the whole block (too few
-    increments for the rule, a bad horizon) is every row's at its stage.
+    increments for the rule) is every row's at the threshold.
     """
     m, n = d.shape
-    no_row = np.zeros(m, dtype=bool)
-    # in stage order: the rows that pass a stage's check, given that they
-    # pass the checks before it, and the error of a row that fails it
-    checks = []
-
-    def not_finite(i: int) -> ConfigurationError | None:
-        bad = np.flatnonzero(~np.isfinite(d[i]))
-        if not bad.size:
-            return None  # finite increments whose squares overflow
-        return ConfigurationError(f"increment in row {bad[0] + 1} is not finite: {d[i, bad[0]]}")
-
-    # as in the stage functions' float arithmetic, an overflow gives inf and
-    # 0 / 0 gives NaN, without a warning; the checks refuse both
-    with np.errstate(all="ignore"):
-        squares = np.sum(d * d, axis=-1)
-    # a row whose sum of squares is finite has only finite increments
-    checks.append((np.isfinite(squares), not_finite))
     try:
-        eta = rule.resolve(d)
-        checks.append((eta > 0, lambda i: _threshold_error(float(eta[i]))))
+        eta, refused = rule.resolve(d), None
     except ConfigurationError as err:
-        eta = np.full(m, math.nan)
-        checks.append((no_row, lambda i, error=err: error))
+        eta, refused = np.full(m, math.nan), err
     flags, hat = _flag_rows(d, eta)
-    if n < 1 or not (np.isfinite(horizon) and horizon > 0):
-        checks.append((no_row, lambda i, error=_error(mle_from_increments, d[0], horizon): error))
+    # as in the stage functions' float arithmetic, an overflow gives inf and
+    # 0 / 0 gives NaN, without a warning; the mask below refuses both
     with np.errstate(all="ignore"):
-        theta_hat = squares / horizon
+        theta_hat = np.sum(d * d, axis=-1) / horizon
         # C pow, as a float's ** 2 is; x * x differs in the last bit at times
         kappa = np.float_power(1.0 - hat / (horizon * theta_hat), 2)
         half = n / (2.0 * kappa)
         shape, rate = prior.shape + half, prior.rate + half * theta_hat
         shift = hat / horizon
-    positive = np.isfinite(theta_hat) & (theta_hat > 0)
-    checks.append((positive & (kappa > KAPPA_FLOOR), lambda i: _error(
-        compute_kappa, float(theta_hat[i]), QvEstimate(float(eta[i]), float(hat[i]), ()), horizon
-    )))
-    # past the checks above, the shape and the rate are positive and the
-    # shift is not negative
-    checks.append((np.isfinite(kappa) & np.isfinite(shape) & np.isfinite(rate), lambda i: _error(
-        tempered_update, prior, n, float(theta_hat[i]), float(kappa[i])
-    )))
-    checks.append((np.isfinite(shift), lambda i: _error(
-        GibbsPosterior, InverseGammaParams(float(shape[i]), float(rate[i])), float(shift[i])
-    )))
-    faults = [None] * m
-    for i in np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks])).tolist():
-        for ok, make in checks:
-            if not ok[i] and (fault := make(i)) is not None:
-                faults[i] = fault
-                break
+    accepted = (eta > 0) & np.isfinite(theta_hat) & (theta_hat > 0) & (kappa > KAPPA_FLOOR)
+    accepted &= np.isfinite(kappa) & np.isfinite(shape) & np.isfinite(rate) & np.isfinite(shift)
+
+    def refusal(i: int) -> JumpvolError:
+        """The error of the first stage that refuses row ``i``, from the
+        values computed for it above."""
+        row, theta = d[i], float(theta_hat[i])
+        # a finite positive theta_hat needs finite increments, n >= 1 and a
+        # finite positive horizon: the row passes the increment check and the MLE
+        mle_passes = 0.0 < theta < math.inf
+        bad = () if mle_passes else np.flatnonzero(~np.isfinite(row)).tolist()
+        if bad:
+            return ConfigurationError(f"increment in row {bad[0] + 1} is not finite: {row[bad[0]]}")
+        if refused is not None:
+            return refused
+        try:
+            if not eta[i] > 0:
+                estimate_jump_qv(row, float(eta[i]))
+            if not mle_passes:
+                mle_from_increments(row, horizon)
+            compute_kappa(theta, QvEstimate(float(eta[i]), float(hat[i]), ()), horizon)
+            tempered_update(prior, n, theta, float(kappa[i]))
+            GibbsPosterior(InverseGammaParams(float(shape[i]), float(rate[i])), float(shift[i]))
+        except JumpvolError as err:
+            return err
+        raise AssertionError(f"no stage refuses row {i} of the block")
+
+    faults = [None if ok else refusal(i) for i, ok in enumerate(accepted.tolist())]
     return _RowInference(n, horizon, eta, flags, hat, theta_hat, kappa, shape, rate, shift, faults)
 
 

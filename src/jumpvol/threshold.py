@@ -137,13 +137,6 @@ class QvEstimate:
     flagged: tuple[int, ...]
 
 
-def _threshold_error(eta) -> ConfigurationError | None:
-    """The error for a threshold that is NaN or not positive, else None."""
-    if math.isnan(eta) or eta <= 0:
-        return ConfigurationError(f"threshold must be positive (or +inf), got {eta}")
-    return None
-
-
 def _flag_rows(d: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flags ``|D_i| > eta`` of each row of the 2-d block ``d`` against
     its ``eta``, and each row's sum of squared flagged increments: one
@@ -159,9 +152,8 @@ def _flag_rows(d: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def estimate_jump_qv(increments, eta: float) -> QvEstimate:
     """Sum of squared increments over the windows with ``|D_i| > eta``."""
     d = np.asarray(increments, dtype=float)
-    error = _threshold_error(eta)
-    if error is not None:
-        raise error
+    if math.isnan(eta) or eta <= 0:
+        raise ConfigurationError(f"threshold must be positive (or +inf), got {eta}")
     flags, hats = _flag_rows(d.reshape(1, -1), np.array([eta], dtype=float))
     flagged = tuple((np.flatnonzero(flags) + 1).tolist())
     return QvEstimate(eta=float(eta), jump_qv_hat=float(hats[0]), flagged=flagged)

@@ -615,6 +615,16 @@ def test_infer_names_an_infinite_bvm_variance(tmp_path, capsys):
     assert out == ""
 
 
+def test_infer_theta_hat_that_overflows_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "path.csv"
+    run_cli(["simulate", "--n", "20", "--out", str(csv_path)], capsys)
+    code, out, err = run_cli(
+        ["infer", "--input", str(csv_path), "--horizon", "1e-320", "--out", "-"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "theta_hat = sum D_i^2 / horizon overflows" in err and "horizon = 1e-320" in err
+
+
 def test_infer_non_finite_increment_names_row(tmp_path, capsys):
     csv_path = tmp_path / "path.csv"
     rows = ["index,t_i,D_i", "1,0.2,0.1", "2,0.4,-0.3", "3,0.6,nan", "4,0.8,0.2", "5,1.0,0.4"]
@@ -797,6 +807,27 @@ def test_coverage_rejects_jump_fields_in_model(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": {"jump_rate": 3.0}, "reps": 5}))
     code, _, err = run_cli(["coverage", "--config", str(cfg), "--out", "-"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "config, fragment",
+    [
+        # two of the three replications have jumps whose squares overflow
+        pytest.param({"tau_grid": [1e160]},
+                     "theta_hat = sum D_i^2 / horizon overflows: sum D_i^2 = inf, horizon = 1.0",
+                     id="jump-squares"),
+        pytest.param({"tau_grid": [1.0], "model": {"theta_star": 1e307}},
+                     "posterior rate overflows to inf at theta_hat = ", id="posterior-rate"),
+    ],
+)
+def test_coverage_overflow_is_refused_not_counted_degenerate(config, fragment, tmp_path, capsys):
+    cfg = tmp_path / "cov.json"
+    cfg.write_text(json.dumps({"lambda_grid": [1.0], "n_grid": [50], **config}))
+    code, out, err = run_cli(
+        ["coverage", "--config", str(cfg), "--reps", "3", "--out", "-"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert fragment in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from jumpvol import (
     KAPPA_FLOOR,
     DiffusionSpec,
     GibbsPosterior,
+    Inference,
     InverseGammaParams,
     JumpSpec,
     NormalApprox,
@@ -31,12 +32,15 @@ from jumpvol import (
     estimate_jump_qv,
     gibbs_update,
     infer_increments,
+    mle_from_increments,
     modify_posterior,
     simulate_path,
     tempered_update,
 )
 from jumpvol.diagnostics import _TV_LADDER, _gauss_legendre
+from jumpvol.errors import JumpvolError
 from jumpvol.posterior import (
+    _FLOAT_MAX,
     QUANTILE_TOL,
     TruncatedPosterior,
     _gammaincc_root,
@@ -65,6 +69,20 @@ def _path(increments, horizon=1.0):
 def test_mle_direct_formula():
     assert compute_mle(_path([1.0, 1.0, 1.0, 1.0])) == pytest.approx(4.0)
     assert compute_mle(_path([0.0, 0.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize(
+    "increments, horizon, fragment",
+    [
+        ([1e200, 1.0], 1.0, "sum D_i^2 = inf, horizon = 1.0"),
+        ([3.0, 4.0], 1e-320, "sum D_i^2 = 25.0, horizon = 1e-320"),
+    ],
+    ids=["sum", "horizon"],
+)
+def test_mle_refuses_an_overflow(increments, horizon, fragment):
+    with pytest.raises(ConfigurationError) as err:
+        mle_from_increments(increments, horizon)
+    assert str(err.value) == f"theta_hat = sum D_i^2 / horizon overflows: {fragment}"
 
 
 def test_mle_chi_square_moment():
@@ -171,6 +189,20 @@ def test_update_rejects_bad_temperature():
         tempered_update(PRIOR, n=10, theta_hat=1.0, kappa=1e-7)
     with pytest.raises(DegenerateInferenceError):
         tempered_update(PRIOR, n=10, theta_hat=1.0, kappa=math.inf)
+
+
+@pytest.mark.parametrize(
+    "prior, n, theta_hat, name",
+    [
+        (PRIOR, 50, 1e307, "rate"),
+        (InverseGammaParams(_FLOAT_MAX, 1.0), 10**300, 1.0, "shape"),
+    ],
+    ids=["rate", "shape"],
+)
+def test_update_refuses_a_posterior_that_overflows(prior, n, theta_hat, name):
+    with pytest.raises(ConfigurationError) as err:
+        tempered_update(prior, n=n, theta_hat=theta_hat, kappa=1.0)
+    assert str(err.value) == f"posterior {name} overflows to inf at theta_hat = {theta_hat}"
 
 
 def _quadrature_moments(a, b, n, theta_hat, kappa):
@@ -647,3 +679,58 @@ def test_block_intervals_raise_the_first_refused_row_after_the_rows_before_it():
     # a level out of range fails first, at the intervals of the rows before it
     with pytest.raises(ConfigurationError, match="level must lie in"):
         rows.intervals(1.5)
+
+
+def _public_chain(row, horizon, rule, prior) -> Inference:
+    """The stages of the corrected posterior on one row, each by its public
+    function, after the non-finite check that :func:`infer_increments`
+    documents."""
+    bad = np.flatnonzero(~np.isfinite(row))
+    if bad.size:
+        raise ConfigurationError(f"increment in row {bad[0] + 1} is not finite: {row[bad[0]]}")
+    qv = estimate_jump_qv(row, rule.resolve(row))
+    theta_hat = mle_from_increments(row, horizon)
+    kappa = compute_kappa(theta_hat, qv, horizon)
+    post = tempered_update(prior, row.size, theta_hat, kappa)
+    return Inference(row.size, theta_hat, qv, kappa, post, modify_posterior(post, qv, horizon))
+
+
+@st.composite
+def _blocks(draw):
+    """A block of 1-4 rows of 0-24 increments, each row normals at a scale
+    from 1e-300 to 1e300 (some with cells of +-0, NaN or +-inf), all zeros or
+    one constant."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 24))
+    block = np.zeros((m, n))
+    for row in block:
+        kind = draw(st.sampled_from(["normal", "cells", "zeros", "constant"]))
+        if kind == "constant":
+            row[:] = draw(st.floats(-1e300, 1e300))
+        elif kind != "zeros":
+            normals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+            row[:] = normals * 10.0 ** draw(st.integers(-300, 300))
+        if kind == "cells" and n:
+            for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                row[j] = draw(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+    return block
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    block=_blocks(),
+    rule=st.sampled_from(["iqr", "iqr:0.5", "fixed:0.04", "fixed:1e-9", "fixed:inf"]),
+    horizon=st.sampled_from([1.0, 0.25, 1e-320, 1e300, 0.0, -1.0, math.inf, math.nan]),
+    prior=st.sampled_from([(1.0, 1.0), (1e-300, 1e-300), (1e300, 1e300)]),
+)
+def test_block_inference_is_the_public_chain_on_each_row(block, rule, horizon, prior):
+    # an oracle independent of the block code: each row's inference, or its
+    # error by type and message, is that of the public stage functions
+    rule, prior = ThresholdRule.parse(rule), InverseGammaParams(*prior)
+    rows = _infer_rows(block, horizon, rule, prior)
+    for i, row in enumerate(block):
+        try:
+            expected = _public_chain(row, horizon, rule, prior)
+        except JumpvolError as err:
+            assert type(rows.faults[i]) is type(err) and str(rows.faults[i]) == str(err)
+            continue
+        assert rows.faults[i] is None and rows.inference(i) == expected
