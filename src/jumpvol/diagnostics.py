@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .harness import CoverageConfig, _chunks, _inferred_chunks, _simulated_chunks, replicate
-from .posterior import InverseGammaParams, NormalApprox
+from .posterior import InverseGammaParams, NormalApprox, mle_from_increments
 from .simulate import (
     DiffusionSpec,
     JumpRealization,
@@ -40,6 +40,7 @@ from .simulate import (
     SamplePath,
     _check_increments,
     _path_rows,
+    _streams,
     bin_jumps,
 )
 from .threshold import ThresholdRule, _flag_rows, estimate_jump_qv
@@ -379,13 +380,20 @@ class MseOracleResult:
 
 def _mles_given_jumps(diff, fixed_jumps, n, seeds) -> list[float]:
     """``compute_mle(simulate_path_given_jumps(diff, fixed_jumps, n, seed))``
-    for each seed, a chunk of rows at a time."""
+    for each seed, a chunk of rows at a time; the first row whose MLE
+    overflows raises that stage's error."""
     _check_increments(n)
     horizon = n * (diff.horizon / n)  # SamplePath.horizon
     mles = []
-    for chunk in _chunks(n, seeds):
+    roots = [stream for (stream,) in _streams(seeds, [[]])]
+    for chunk in _chunks(n, roots):
         increments, _ = _path_rows(diff, [fixed_jumps] * len(chunk), n, chunk)
-        mles += (np.sum(increments * increments, axis=-1) / horizon).tolist()
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            theta_hat = np.sum(increments * increments, axis=-1) / horizon
+        overflows = np.flatnonzero(theta_hat == math.inf)
+        if overflows.size:
+            mle_from_increments(increments[overflows[0]], horizon)  # raises
+        mles += theta_hat.tolist()
     return mles
 
 
@@ -409,7 +417,16 @@ def mse_oracle(
     sandwich = sandwich_variance(truth, n)
     (estimates,) = replicate(partial(_mles_given_jumps, diff, fixed_jumps), [n], reps, seed)
     estimates = np.array(estimates)
-    mse, mse_stderr = _mean_and_stderr((estimates - truth.theta_dagger) ** 2)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        errors = (estimates - truth.theta_dagger) ** 2
+    overflows = np.flatnonzero(errors == math.inf)
+    if overflows.size:
+        raise ConfigurationError(
+            f"the squared error (theta_hat - theta_dagger)^2 overflows at theta_hat = "
+            f"{float(estimates[overflows[0]])!r}, theta_dagger = {truth.theta_dagger!r} "
+            f"(beta = {diff.beta!r})"
+        )
+    mse, mse_stderr = _mean_and_stderr(errors)
     squares = (estimates - estimates.mean()) ** 2
     _, variance_stderr = _mean_and_stderr(squares)
     scaled, scale = _scaled(squares)  # so the sum in estimates.var(ddof=1) cannot overflow

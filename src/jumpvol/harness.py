@@ -18,9 +18,10 @@ __all__ = [
 ]
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, islice, product
 
 import numpy as np
@@ -31,18 +32,17 @@ from .simulate import (
     _MASK32,
     DiffusionSpec,
     JumpSpec,
-    _child_streams,
     _opened,
     _seed_states,
     _simulate_rows,
     _spawned_entropy,
+    _streams,
 )
 from .threshold import ThresholdRule
 
 COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerate_count"
 
-#: Replications per task of :func:`replicate`.  Coverage sums its widths per
-#: block and then across blocks, in block order.
+#: Replications per task of :func:`replicate`.
 _BLOCK = 256
 #: Increments per chunk of rows that the experiments simulate and infer as
 #: one array: a chunk that stays in cache is what makes the array pass pay.
@@ -130,12 +130,12 @@ def _run_block(task) -> list:
 
 
 def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[list]:
-    """One result per replication ``rep < reps`` of each cell, one list per
-    cell in rep order.  ``stat(cells[index], seeds)`` gives the results of a
-    block of replications, one per seed in ``seeds``: ``derive_seed(base_seed,
-    index, rep)`` for the block's reps.  Blocks of ``_BLOCK`` replications run
-    in turn or, for ``workers > 1``, in a process pool, for which ``stat`` and
-    the cells must pickle; the results do not depend on the worker count."""
+    """The results of the replications ``rep < reps`` of each cell, one list
+    per cell in rep order.  ``stat(cells[index], seeds)`` gives one result per
+    seed of a block, ``derive_seed(base_seed, index, rep)`` for its reps, or
+    one for the whole block.  Blocks of ``_BLOCK`` replications run in turn
+    or, for ``workers > 1``, in a process pool, for which ``stat`` and the
+    cells must pickle; the results do not depend on the worker count."""
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     blocks = [range(start, min(start + _BLOCK, reps)) for start in range(0, reps, _BLOCK)]
@@ -162,7 +162,7 @@ def _chunks(n: int, rows: list) -> list[list]:
 def _simulated_chunks(diff: DiffusionSpec, jumps: JumpSpec, n: int, seeds):
     """The increments and per-window jump sums of the paths of ``seeds``, as
     :func:`simulate_path` draws them, one chunk of rows at a time."""
-    for streams in _chunks(n, _child_streams(seeds)):
+    for streams in _chunks(n, _streams(seeds, [[0], [1]])):
         yield _simulate_rows(diff, jumps, n, streams)
 
 
@@ -174,18 +174,21 @@ def _inferred_chunks(diff: DiffusionSpec, jumps: JumpSpec, n: int, seeds, rule, 
         yield mu, _infer_rows(increments, horizon, rule, prior)
 
 
-def _coverage_block(cfg: CoverageConfig, cell, seeds) -> list[tuple[bool, float] | None]:
-    """Whether each seed's interval covers the true volatility, and its
-    width, or None where the inference is degenerate.  ``cell`` holds the
-    jump law and the sample size."""
+def _coverage_block(cfg: CoverageConfig, cell, seeds) -> list[tuple[int, float, int]]:
+    """The block's one result: how many intervals cover the true volatility,
+    the sum of their widths in seed order, and how many inferences are
+    degenerate.  ``cell`` holds the jump law and the sample size."""
     jumps, n = cell
-    theta_star = cfg.diffusion.theta_star
-    outcomes = []
+    covered, width_sum, degenerate = 0, 0.0, 0
     for _, rows in _inferred_chunks(cfg.diffusion, jumps, n, seeds, cfg.threshold, cfg.prior):
         los, his = rows.intervals(cfg.level)
         for lo, hi in zip(los.tolist(), his.tolist()):
-            outcomes.append(None if math.isnan(lo) else (lo <= theta_star <= hi, hi - lo))
-    return outcomes
+            if math.isnan(lo):
+                degenerate += 1
+            else:
+                covered += lo <= cfg.diffusion.theta_star <= hi
+                width_sum += hi - lo
+    return [(covered, width_sum, degenerate)]
 
 
 def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
@@ -199,16 +202,10 @@ def run_coverage(config: CoverageConfig, workers: int = 1) -> list[CoverageRow]:
     jumps = [(JumpSpec.two_point(lam, tau), n) for lam, tau, n in cells]
     results = replicate(stat, jumps, config.reps, config.base_seed, workers)
     rows = []
-    for (lam, tau, n), outcomes in zip(cells, results):
-        degenerate = outcomes.count(None)
+    for (lam, tau, n), tallies in zip(cells, results):
+        # the blocks' tallies in block order: this order fixes mean_width's bits
+        covered, width_sum, degenerate = (reduce(operator.add, sums) for sums in zip(*tallies))
         effective = config.reps - degenerate
-        covered = sum(1 for outcome in outcomes if outcome and outcome[0])
-        width_sum = 0.0  # per block, then across blocks: this order fixes mean_width's bits
-        for start in range(0, config.reps, _BLOCK):
-            block_width = 0.0
-            for outcome in outcomes[start : start + _BLOCK]:
-                block_width += outcome[1] if outcome else 0.0
-            width_sum += block_width
         if effective > 0:
             coverage = covered / effective
             mean_width = width_sum / effective

@@ -479,20 +479,19 @@ class _RowInference:
 
     def intervals(self, level: float) -> tuple[np.ndarray, np.ndarray]:
         """The ends of each row's :func:`credible_interval` of the shifted
-        posterior, NaN where the row's inference is degenerate.  The first
-        other error of a row's inference is raised once the intervals of the
-        rows before it are formed."""
-        stop = next((i for i, fault in enumerate(self.faults)
-                     if fault is not None and not isinstance(fault, DegenerateInferenceError)),
-                    len(self.faults))
-        rows = np.flatnonzero([fault is None for fault in self.faults[:stop]])
-        ends = _invgamma_ppf(_tail_levels(level), self.shape[rows, None], self.rate[rows, None])
+        posterior, NaN where the row's inference is degenerate.  After the
+        level, the first other error of a row's inference is raised, before
+        any interval is formed."""
+        levels = _tail_levels(level)
+        for fault in self.faults:
+            if fault is not None and not isinstance(fault, DegenerateInferenceError):
+                raise fault
+        rows = np.flatnonzero([fault is None for fault in self.faults])
+        ends = _invgamma_ppf(levels, self.shape[rows, None], self.rate[rows, None])
         ends -= self.shift[rows, None]
         disordered = np.flatnonzero(~(ends[:, 0] <= ends[:, 1]))
         if disordered.size:
             CredibleInterval(level, *ends[disordered[0]].tolist())  # raises
-        if stop < len(self.faults):
-            raise self.faults[stop]
         lo, hi = np.full((2, len(self.faults)), math.nan)
         lo[rows], hi[rows] = ends.T
         return lo, hi

@@ -152,28 +152,23 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _child_streams(seeds) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    """For each non-negative integer seed, the generators ``default_rng``
-    makes of ``SeedSequence(seed).spawn(2)``.  Seeds of one word count get
-    their states from one kernel call, over uint64 word arrays when there are
-    several: an array operation costs more than one on Python ints."""
+def _streams(seeds, keys) -> list[tuple[np.random.Generator, ...]]:
+    """For each non-negative integer seed, the generator ``default_rng``
+    makes of its ``SeedSequence`` spawned at each key of ``keys``: the keys
+    ``[[0], [1]]`` give the children of ``spawn(2)``, and ``[[]]`` the root
+    stream of ``default_rng(seed)``.  The seeds share one word count and get
+    their states from one kernel call, over uint64 word arrays when there
+    are several: an array operation costs more than one on Python ints."""
     entropy = [_spawned_entropy(seed, ()) for seed in seeds]
-    streams = [()] * len(entropy)
-    for size in {len(words) for words in entropy}:
-        rows = [i for i, words in enumerate(entropy) if len(words) == size]
-        words = entropy[rows[0]] if len(rows) == 1 else list(
-            np.array([entropy[i] for i in rows], dtype=np.uint64).T
-        )
-        children = []
-        for w in _seed_states(words, [[0], [1]], 8):
-            pcg_words = [w[j] | w[j + 1] << 32 for j in range(0, 8, 2)]
-            # one C-contiguous row of 4 state words per seed
-            states = np.array(pcg_words, dtype=np.uint64).reshape(4, -1).T.copy()
-            children.append([np.random.Generator(np.random.PCG64(_StateWords(state)))
-                             for state in states])
-        for i, pair in zip(rows, zip(*children)):
-            streams[i] = pair
-    return streams
+    words = entropy[0] if len(entropy) == 1 else list(np.array(entropy, dtype=np.uint64).T)
+    streams = []
+    for w in _seed_states(words, keys, 8):
+        pcg_words = [w[j] | w[j + 1] << 32 for j in range(0, 8, 2)]
+        # one C-contiguous row of 4 state words per seed
+        states = np.array(pcg_words, dtype=np.uint64).reshape(4, -1).T.copy()
+        streams.append([np.random.Generator(np.random.PCG64(_StateWords(state)))
+                        for state in states])
+    return list(zip(*streams))
 
 
 #: The largest mean that numpy's Poisson sampler takes, and the most 8-byte
@@ -447,10 +442,10 @@ def _check_increments(n: int) -> None:
         raise ConfigurationError(f"need at least 2 increments, got n={n}")
 
 
-def _path_rows(diff: DiffusionSpec, realizations, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _path_rows(diff: DiffusionSpec, realizations, n: int, streams) -> tuple[np.ndarray, np.ndarray]:
     """The increments and the per-window jump sums, each ``(m, n)``, of ``m``
     paths: row ``i`` carries the jumps ``realizations[i]`` and draws its
-    normals from ``default_rng(seeds[i])``."""
+    normals from the generator ``streams[i]``."""
     m = len(realizations)
     times = np.concatenate([jumps.times for jumps in realizations])
     sizes = np.concatenate([jumps.sizes for jumps in realizations])
@@ -461,8 +456,8 @@ def _path_rows(diff: DiffusionSpec, realizations, n: int, seeds) -> tuple[np.nda
     mu = np.bincount(windows, weights=sizes, minlength=m * n).reshape(m, n)
     delta = diff.horizon / n
     increments = np.empty((m, n))
-    for row, seed in zip(increments, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    for row, stream in zip(increments, streams):
+        stream.standard_normal(out=row)
     # beta * delta + sqrt(theta_star * delta) * Z + mu, in place
     increments *= np.sqrt(diff.theta_star * delta)
     increments += diff.beta * delta
@@ -491,7 +486,7 @@ def simulate_path_given_jumps(
     jumps.  Deterministic given ``seed``.
     """
     _check_increments(n)
-    increments, mu = _path_rows(diff, [jumps], n, [seed])
+    increments, mu = _path_rows(diff, [jumps], n, [np.random.default_rng(seed)])
     return SamplePath(n, diff.horizon / n, increments[0], PathTruth(mu[0]))
 
 
@@ -512,10 +507,10 @@ def simulate_path(
     """
     _check_increments(n)
     if isinstance(seed, (int, np.integer)) and seed >= 0:
-        (streams,) = _child_streams([seed])
+        (streams,) = _streams([seed], [[0], [1]])
     else:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = ss.spawn(2)
+        streams = [np.random.default_rng(child) for child in ss.spawn(2)]
     increments, mu = _simulate_rows(diff, jumps, n, [streams])
     return SamplePath(n, diff.horizon / n, increments[0], PathTruth(mu[0]))
 

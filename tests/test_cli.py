@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpvol import (
@@ -471,6 +471,79 @@ def test_generated_config_exits_cleanly(command, data, tmp_path_factory):
         os.chdir(cwd)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+# Each command that runs replications, at its reps floor and n <= 60 (coverage
+# at a few reps).  The model keeps jump_rate * horizon at its default of 5.
+_FLOOR_RUNS = {
+    "coverage": {"lambda_grid": [4.0], "tau_grid": [1.0], "n_grid": [60], "reps": 8},
+    "diag bvm": {"n_grid": [20, 60], "reps": 100},
+    "diag mse": {"n": 60, "reps": 1000},
+    "diag qvrate": {"n_grid": [6, 20, 60], "reps": 200},
+}
+
+
+@st.composite
+def _floor_runs(draw):
+    """A command of ``_FLOOR_RUNS`` with one of ``beta`` (either sign),
+    ``theta_star`` or the two-point ``tau`` drawn log-uniformly from 1e-300
+    to 1e300."""
+    command = draw(st.sampled_from(sorted(_FLOOR_RUNS)))
+    config = {"model": {}, **_FLOOR_RUNS[command]}  # a key below replaces, never mutates
+    key = draw(st.sampled_from(["beta", "theta_star", "tau"]))
+    value = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if key == "beta":
+        value *= draw(st.sampled_from([-1.0, 1.0]))
+    if key != "tau":
+        config["model"][key] = value
+    elif command == "coverage":
+        config["tau_grid"] = [value]
+    else:
+        config["model"]["jump_sizes"] = {"kind": "two_point", "tau": value}
+    return command, config
+
+
+def _finite_or_documented(command: str, text: str) -> bool:
+    """Whether every number of a command's CSV is finite, apart from the
+    ``nan`` of ``qv_mae_log_slope`` and of a coverage cell whose
+    replications are all degenerate."""
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    if command == "coverage":
+        return all(
+            all(math.isfinite(float(cell)) for cell in row[:4] + row[7:])
+            and (row[3] == row[7] or all(math.isfinite(float(cell)) for cell in row[4:7]))
+            for row in rows
+        )
+    return all(
+        all(math.isfinite(float(cell)) for cell in row[2:] if cell)
+        or (row[1] == "qv_mae_log_slope" and math.isnan(float(row[2])))
+        for row in rows
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(run=_floor_runs())
+# a drift whose MLE overflows, and one whose squared error does
+@example(run=("diag mse", {"model": {"beta": 1e300}, "n": 100, "reps": 1000}))
+@example(run=("diag mse", {"model": {"beta": 1e100}, "n": 20, "reps": 1000}))
+def test_every_replicating_command_exits_with_finite_output_or_a_message(
+    run, tmp_path_factory
+):
+    # a numpy warning fails the run under Tier-1's warnings filter, and any
+    # other exception escapes main as a traceback would
+    command, config = run
+    work = tmp_path_factory.mktemp("floor")
+    (work / "cfg.json").write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.split() + ["--config", str(work / "cfg.json"),
+                                       "--out", str(work / "out")])
+    if code == 0:
+        assert _finite_or_documented(command, (work / "out").read_text())
+    elif code == 4:
+        assert json.loads(out.getvalue())["message"]
+    else:
+        assert code in (2, 3) and err.getvalue().startswith("jumpvol: ")
 
 
 # ---------------------------------------------------------------------------
@@ -1060,6 +1133,25 @@ def test_jump_sizes_whose_squares_overflow_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["diag", "mse", "--config", str(cfg), "--out", "-"], capsys)
     assert code == 2
     assert "jump_qv is inf: the squared jump sizes overflow float64" in err
+
+
+@pytest.mark.parametrize(
+    "config, fragments",
+    [
+        pytest.param({"model": {"beta": 1e300}, "n": 100, "reps": 1000},
+                     ["theta_hat = sum D_i^2 / horizon overflows"], id="mle"),
+        pytest.param({"model": {"beta": 1e100}, "n": 20, "reps": 1000},
+                     ["the squared error (theta_hat - theta_dagger)^2 overflows", "(beta = 1e+100)"],
+                     id="squared-error"),
+    ],
+)
+def test_diag_mse_drift_that_overflows_exits_2(config, fragments, tmp_path, capsys):
+    # the drift beta * delta dominates each increment; the refusal comes
+    # before numpy can warn of the overflow, which Tier-1 would fail
+    code, err = _run_with_config(["diag", "mse"], config, tmp_path, capsys)
+    assert code == 2
+    assert all(fragment in err for fragment in fragments)
+    assert not (tmp_path / "out").exists()
 
 
 # A JSON integer beyond float range, which a number key refuses.

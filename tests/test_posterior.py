@@ -676,7 +676,7 @@ def test_block_intervals_raise_the_first_refused_row_after_the_rows_before_it():
     assert rows.faults[:2] == [None, None]
     with pytest.raises(ConfigurationError, match="increment in row 1 is not finite: inf"):
         rows.intervals(0.95)
-    # a level out of range fails first, at the intervals of the rows before it
+    # a level out of range fails first, before the fault of any row
     with pytest.raises(ConfigurationError, match="level must lie in"):
         rows.intervals(1.5)
 

@@ -25,7 +25,7 @@ from jumpvol import (
     write_increments_csv,
 )
 from jumpvol.cli import main
-from jumpvol.simulate import _child_streams, _simulate_rows
+from jumpvol.simulate import _simulate_rows, _streams
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -263,6 +263,9 @@ def test_bin_jumps_refuses_more_windows_than_an_array_holds():
 
 
 _STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, np.uint64(2**63 + 5), True]
+# the seeds of four words (a seed is zero-padded to four), as derive_seed gives
+_FOUR_WORD_SEEDS = [seed for seed in _STREAM_SEEDS if seed < 2**128]
+_CHILD_KEYS = [[0], [1]]
 
 
 def _seed_sequence_children(seed) -> list[np.random.Generator]:
@@ -276,9 +279,12 @@ def _states(generators) -> list[dict]:
 
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)
 def test_integer_seed_streams_are_seed_sequence_children(seed):
-    (kernel,) = _child_streams([seed])
+    (kernel,) = _streams([seed], _CHILD_KEYS)
     oracle = _seed_sequence_children(seed)
     assert _states(kernel) == _states(oracle)
+    # the key [] gives the root stream, that of default_rng(seed)
+    (root,) = _streams([seed], [[]])
+    assert _states(root) == _states([np.random.default_rng(seed)])
     paths = []
     for jump_stream, diff_stream in (kernel, oracle):
         jumps = simulate_jumps(JUMPS, DIFF.horizon, seed=jump_stream)
@@ -291,18 +297,21 @@ def test_integer_seed_streams_are_seed_sequence_children(seed):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(seeds=st.lists(st.integers(0, 2**200) | st.integers(0, 2**64), min_size=1, max_size=12))
+@given(seeds=st.one_of(
+    st.lists(st.integers(0, 2**200), min_size=1, max_size=1),
+    st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=12),
+))
 def test_integer_seed_streams_match_seed_sequence_at_any_size(seeds):
-    # one call over a list of seeds, of one word count or of several
-    assert [_states(pair) for pair in _child_streams(seeds)] == [
+    # one call over one seed of any size, or over a list of seeds of four words
+    assert [_states(pair) for pair in _streams(seeds, _CHILD_KEYS)] == [
         _states(_seed_sequence_children(seed)) for seed in seeds
     ]
 
 
 def test_streams_of_a_seed_list_are_each_seeds_children():
-    # one call over seeds of one to five words, in an order that mixes them
-    seeds = _STREAM_SEEDS + _STREAM_SEEDS[::-1]
-    for pair, seed in zip(_child_streams(seeds), seeds, strict=True):
+    # one call over the seeds of four words, in both orders
+    seeds = _FOUR_WORD_SEEDS + _FOUR_WORD_SEEDS[::-1]
+    for pair, seed in zip(_streams(seeds, _CHILD_KEYS), seeds, strict=True):
         assert _states(pair) == _states(_seed_sequence_children(seed))
 
 
@@ -436,7 +445,7 @@ def test_sample_path_invariant_checks():
 )
 def test_simulated_rows_are_one_row_paths(jumps, n):
     seeds = [derive_seed(2, 0, rep) for rep in range(7)]
-    increments, mu = _simulate_rows(DIFF, jumps, n, _child_streams(seeds))
+    increments, mu = _simulate_rows(DIFF, jumps, n, _streams(seeds, _CHILD_KEYS))
     for seed, row, row_mu in zip(seeds, increments, mu, strict=True):
         path = simulate_path(DIFF, jumps, n, seed=seed)
         assert row.tobytes() == path.increments.tobytes()
