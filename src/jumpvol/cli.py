@@ -361,6 +361,8 @@ def cmd_infer(args) -> int:
         if cfg.density_out is None:
             raise ConfigurationError("density output path required when density_grid is set")
         density_out = _check_out(cfg.density_out)
+    elif cfg.density_out is not None:
+        raise ConfigurationError("density_out is set but density_grid is not; set both or neither")
 
     data = read_increments_csv(sys.stdin if cfg.input == "-" else cfg.input)
     horizon = cfg.horizon

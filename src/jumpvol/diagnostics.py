@@ -157,12 +157,12 @@ def _scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     """Monte Carlo mean of ``values`` and its standard error, both taken of
-    the :func:`_scaled` values and scaled back."""
+    the :func:`_scaled` values and scaled back.  A value that is not finite
+    gives a mean or a standard error that is not, for the caller to refuse."""
     scaled, scale = _scaled(values)
-    return (
-        float(scaled.mean()) * scale,
-        float(scaled.std(ddof=1) / math.sqrt(values.size)) * scale,
-    )
+    with np.errstate(invalid="ignore"):  # an infinite value gives a NaN stderr
+        stderr = scaled.std(ddof=1) / math.sqrt(values.size)
+    return float(scaled.mean()) * scale, float(stderr) * scale
 
 
 # ---------------------------------------------------------------------------

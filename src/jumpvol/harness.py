@@ -104,13 +104,13 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
     The triple is mixed by feeding ``base_seed`` as entropy and
     ``(cell_index, rep_index)`` as the spawn key of a ``numpy.random.
     SeedSequence``; the first 128 bits of its output state are packed into a
-    single integer.  The mapping is deterministic and, for all practical
-    purposes, collision-free across distinct triples.  The words come from
-    the package's own copy of the ``SeedSequence`` mix, which reproduces
-    numpy's bit for bit and also derives a whole block at once.
+    single integer, low word first.  The mapping is deterministic and, for
+    all practical purposes, collision-free across distinct triples.  A block
+    of reps gets the same seeds from the package's copy of the mix.
     """
-    (w,) = _seed_states(_spawned_entropy(base_seed, (cell_index, rep_index)), [[]], 4)
-    return w[0] | w[1] << 32 | w[2] << 64 | w[3] << 96
+    ss = np.random.SeedSequence(base_seed, spawn_key=(cell_index, rep_index))
+    low, high = ss.generate_state(2, np.uint64).tolist()
+    return low | high << 64
 
 
 def _derive_seeds(base_seed: int, cell_index: int, reps: range) -> list[int]:

@@ -278,7 +278,8 @@ class NormalApprox:
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        with np.errstate(over="ignore"):  # a square past the float range gives exp(-inf) = 0
+            out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
         return out if out.ndim else float(out)
 
     def cdf(self, x):

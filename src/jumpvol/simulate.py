@@ -41,6 +41,7 @@ import io
 import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 from typing import Union
 
@@ -52,29 +53,27 @@ from .errors import ConfigurationError
 SeedLike = Union[int, np.random.SeedSequence, None]
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe hash-mix, a pool of 4 uint32
-# words) written as plain integer arithmetic.  Every expression below holds
-# on Python ints and on uint64 arrays of values below 2**32, so one kernel
-# derives one seed or a block of them; numpy's SeedSequence is the reference
-# the tests hold it to.
+# words): its mix_entropy and generate_state steps as plain integer arithmetic
+# on Python ints and on uint64 arrays of values below 2**32, so one call
+# derives a block of seeds.  One seed goes through numpy's SeedSequence itself,
+# the reference the tests hold this copy to.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The (xor, multiplier) pairs of the first ``count`` hash-mix calls."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return list(zip(consts, consts[1:]))
+def _hashmix(value, const: int, mult: int = _MULT_A) -> tuple:
+    """numpy's ``hashmix``: ``value`` hashed, and the next running constant."""
+    const_next = const * mult & _MASK32
+    h = (value ^ const) * const_next & _MASK32
+    return h ^ h >> 16, const_next
 
 
-#: Enough for 8 entropy words and 8 output words; longer inputs compute theirs.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 32)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
-#: The (source, destination) order in which the first four words mix.
-_CROSS = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+def _mix(x, y):
+    """numpy's ``mix`` of a pool word with a hashed word."""
+    mixed = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return mixed ^ mixed >> 16
 
 
 def _int_words(value) -> list[int]:
@@ -107,35 +106,27 @@ def _seed_states(words: list, tails: list, n_words: int) -> list[list]:
     Python int below ``2**32`` or a uint64 array of such values; a state word
     is then an array over it, which derives a block of sequences at once.
     """
-    calls = 4 * (len(words) + max(map(len, tails)))
-    a = _HASH_A if calls <= len(_HASH_A) else _hash_constants(_INIT_A, _MULT_A, calls)
-    b = _HASH_B if n_words <= len(_HASH_B) else _hash_constants(_INIT_B, _MULT_B, n_words)
-    # the first four words fill the pool and mix with each other
-    pool = []
-    for word, (x, m) in zip(words, a):
-        h = (word ^ x) * m & _MASK32
-        pool.append(h ^ h >> 16)
-    for (src, dst), (x, m) in zip(_CROSS, a[4:]):
-        h = (pool[src] ^ x) * m & _MASK32
-        mixed = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _MASK32
-        pool[dst] = mixed ^ mixed >> 16
+    # mix_entropy: the first four words fill the pool and mix with each other
+    const, pool = _INIT_A, []
+    for word in words[:4]:
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src, dst in permutations(range(4), 2):
+        h, const = _hashmix(pool[src], const)
+        pool[dst] = _mix(pool[dst], h)
     states = []
     for tail in tails:
-        # every further word mixes into each pool word in turn, with the
-        # constants after the 16 calls above
-        mixer = pool.copy()
-        k = 16
+        # every further word mixes into each pool word in turn
+        mixer, tail_const = pool.copy(), const
         for word in words[4:] + tail:
             for dst in range(4):
-                x, m = a[k]
-                k += 1
-                h = (word ^ x) * m & _MASK32
-                mixed = (_MIX_L * mixer[dst] - _MIX_R * (h ^ h >> 16)) & _MASK32
-                mixer[dst] = mixed ^ mixed >> 16
-        state = []
-        for i, (x, m) in zip(range(n_words), b):
-            h = (mixer[i % 4] ^ x) * m & _MASK32
-            state.append(h ^ h >> 16)
+                h, tail_const = _hashmix(word, tail_const)
+                mixer[dst] = _mix(mixer[dst], h)
+        # generate_state: the pool words in turn, hashed with the B constants
+        state, state_const = [], _INIT_B
+        for i in range(n_words):
+            h, state_const = _hashmix(mixer[i % 4], state_const, _MULT_B)
+            state.append(h)
         states.append(state)
     return states
 
@@ -153,19 +144,17 @@ class _StateWords(ISeedSequence):
 
 
 def _streams(seeds, keys) -> list[tuple[np.random.Generator, ...]]:
-    """For each non-negative integer seed, the generator ``default_rng``
-    makes of its ``SeedSequence`` spawned at each key of ``keys``: the keys
-    ``[[0], [1]]`` give the children of ``spawn(2)``, and ``[[]]`` the root
-    stream of ``default_rng(seed)``.  The seeds share one word count and get
-    their states from one kernel call, over uint64 word arrays when there
-    are several: an array operation costs more than one on Python ints."""
-    entropy = [_spawned_entropy(seed, ()) for seed in seeds]
-    words = entropy[0] if len(entropy) == 1 else list(np.array(entropy, dtype=np.uint64).T)
+    """For each non-negative integer seed of a block, the generator
+    ``default_rng`` makes of its ``SeedSequence`` spawned at each key of
+    ``keys``: the keys ``[[0], [1]]`` give the children of ``spawn(2)``, and
+    ``[[]]`` the root stream of ``default_rng(seed)``.  The seeds share one
+    word count and get their states from one kernel call over uint64 word
+    arrays; a single seed is cheaper through numpy's own ``SeedSequence``."""
+    entropy = np.array([_spawned_entropy(seed, ()) for seed in seeds], dtype=np.uint64)
     streams = []
-    for w in _seed_states(words, keys, 8):
-        pcg_words = [w[j] | w[j + 1] << 32 for j in range(0, 8, 2)]
-        # one C-contiguous row of 4 state words per seed
-        states = np.array(pcg_words, dtype=np.uint64).reshape(4, -1).T.copy()
+    for w in _seed_states(list(entropy.T), keys, 8):
+        # one C-contiguous row of 4 state words per seed, low word first
+        states = (np.array(w[0::2]) | np.array(w[1::2]) << 32).T.copy()
         streams.append([np.random.Generator(np.random.PCG64(_StateWords(state)))
                         for state in states])
     return list(zip(*streams))
@@ -500,17 +489,12 @@ def simulate_path(
     high-frequency approximation, not something the generator enforces.
     Deterministic given ``seed``: the seed is split into independent streams
     for the jump and diffusion parts, the children ``(0,)`` and ``(1,)`` of
-    ``SeedSequence(seed)``.  For an integer seed their ``PCG64`` states come
-    from the package's own copy of the ``SeedSequence`` mix, which
-    reproduces numpy's bit for bit; numpy's stays the reference in the tests.
-    This is the one-row call of the block simulator the coverage harness runs.
+    ``SeedSequence(seed)``, which numpy derives.  This is the one-row call of
+    the block simulator the coverage harness runs, whose blocks of seeds get
+    the same streams from the package's copy of the ``SeedSequence`` mix.
     """
-    _check_increments(n)
-    if isinstance(seed, (int, np.integer)) and seed >= 0:
-        (streams,) = _streams([seed], [[0], [1]])
-    else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = [np.random.default_rng(child) for child in ss.spawn(2)]
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    streams = [np.random.default_rng(child) for child in ss.spawn(2)]
     increments, mu = _simulate_rows(diff, jumps, n, [streams])
     return SamplePath(n, diff.horizon / n, increments[0], PathTruth(mu[0]))
 

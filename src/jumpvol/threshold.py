@@ -142,10 +142,10 @@ def _flag_rows(d: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its ``eta``, and each row's sum of squared flagged increments: one
     reduction (numpy's pairwise sum) per row, as ``np.sum`` on the row alone."""
     flags = np.abs(d) > eta[:, None]
-    with np.errstate(over="ignore"):  # a square past the float range is inf
-        squares = d[flags] ** 2
     ends = np.cumsum(np.count_nonzero(flags, axis=1)).tolist()
-    hats = [np.add.reduce(squares[start:end]) for start, end in zip([0] + ends, ends)]
+    with np.errstate(over="ignore"):  # a square or a sum past the float range is inf
+        squares = d[flags] ** 2
+        hats = [np.add.reduce(squares[start:end]) for start, end in zip([0] + ends, ends)]
     return flags, np.array(hats, dtype=float)
 
 

@@ -33,7 +33,7 @@ from jumpvol import (
     JumpSpec,
     NumericError,
 )
-from jumpvol.cli import _SCHEMAS, build_parser, main
+from jumpvol.cli import _SCHEMAS, DEFAULT_MODEL, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -474,7 +474,7 @@ def test_generated_config_exits_cleanly(command, data, tmp_path_factory):
 
 
 # Each command that runs replications, at its reps floor and n <= 60 (coverage
-# at a few reps).  The model keeps jump_rate * horizon at its default of 5.
+# at a few reps), with the default jump rate of its model.
 _FLOOR_RUNS = {
     "coverage": {"lambda_grid": [4.0], "tau_grid": [1.0], "n_grid": [60], "reps": 8},
     "diag bvm": {"n_grid": [20, 60], "reps": 100},
@@ -485,21 +485,47 @@ _FLOOR_RUNS = {
 
 @st.composite
 def _floor_runs(draw):
-    """A command of ``_FLOOR_RUNS`` with one of ``beta`` (either sign),
-    ``theta_star`` or the two-point ``tau`` drawn log-uniformly from 1e-300
-    to 1e300."""
+    """A command of ``_FLOOR_RUNS`` with one or two of ``beta`` (either
+    sign), ``theta_star``, ``horizon``, ``jump_rate`` and the size law (a
+    two-point ``tau``, or a ``table`` of values of either sign) drawn
+    log-uniformly from 1e-300 to 1e300.  ``jump_rate * horizon`` stays at
+    1e4 or less, so that no draw allocates gigabytes."""
     command = draw(st.sampled_from(sorted(_FLOOR_RUNS)))
     config = {"model": {}, **_FLOOR_RUNS[command]}  # a key below replaces, never mutates
-    key = draw(st.sampled_from(["beta", "theta_star", "tau"]))
-    value = 10.0 ** draw(st.floats(-300.0, 300.0))
-    if key == "beta":
-        value *= draw(st.sampled_from([-1.0, 1.0]))
-    if key != "tau":
-        config["model"][key] = value
-    elif command == "coverage":
-        config["tau_grid"] = [value]
-    else:
-        config["model"]["jump_sizes"] = {"kind": "two_point", "tau": value}
+    model = config["model"]
+    keys = draw(st.lists(
+        st.sampled_from(["beta", "theta_star", "horizon", "jump_rate", "sizes"]),
+        min_size=1, max_size=2, unique=True,
+    ))
+
+    def power(high=300.0):
+        return 10.0 ** draw(st.floats(-300.0, high))
+
+    def signed():
+        return draw(st.sampled_from([-1.0, 1.0])) * power()
+
+    if "beta" in keys:
+        model["beta"] = signed()
+    if "theta_star" in keys:
+        model["theta_star"] = power()
+    rate = config["lambda_grid"][0] if command == "coverage" else DEFAULT_MODEL["jump_rate"]
+    horizon = DEFAULT_MODEL["horizon"]
+    if "horizon" in keys:
+        horizon = model["horizon"] = power(300.0 if "jump_rate" in keys else math.log10(1e4 / rate))
+    if "jump_rate" in keys:
+        rate = power(math.log10(1e4 / horizon))
+        if command == "coverage":
+            config["lambda_grid"] = [rate]
+        else:
+            model["jump_rate"] = rate
+    if "sizes" in keys and command == "coverage":
+        config["tau_grid"] = [power()]
+    elif "sizes" in keys and draw(st.booleans()):
+        model["jump_sizes"] = {"kind": "two_point", "tau": power()}
+    elif "sizes" in keys:
+        probs = draw(st.sampled_from([[1.0], [0.25, 0.75], [0.2, 0.3, 0.5]]))
+        model["jump_sizes"] = {"kind": "table", "values": [signed() for _ in probs],
+                               "probs": probs}
     return command, config
 
 
@@ -521,11 +547,21 @@ def _finite_or_documented(command: str, text: str) -> bool:
     )
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(derandomize=True, deadline=None, max_examples=70)
 @given(run=_floor_runs())
 # a drift whose MLE overflows, and one whose squared error does
 @example(run=("diag mse", {"model": {"beta": 1e300}, "n": 100, "reps": 1000}))
 @example(run=("diag mse", {"model": {"beta": 1e100}, "n": 20, "reps": 1000}))
+# jump sizes whose squares are finite but whose sums overflow: the flagged
+# sum of a coverage row, and a diag qvrate error, whose stderr took inf - inf
+@example(run=("coverage", {"model": {}, "lambda_grid": [4.0], "tau_grid": [1e154],
+                           "n_grid": [60], "reps": 8}))
+@example(run=("diag qvrate", {"model": {"beta": -1e18,
+                                        "jump_sizes": {"kind": "two_point", "tau": 1e154}},
+                              "n_grid": [6, 20, 60], "reps": 200}))
+# a normal limit so narrow that the TV tail search squares a z past 1e154
+@example(run=("diag bvm", {"model": {"theta_star": 1e-154, "horizon": 1e-152},
+                           "n_grid": [20, 60], "reps": 100}))
 def test_every_replicating_command_exits_with_finite_output_or_a_message(
     run, tmp_path_factory
 ):
@@ -782,6 +818,7 @@ def test_infer_density_grid(tmp_path, capsys):
         (["--density-grid", "1", "--density-out", "DIR/d.csv"], "at least 2 points"),
         (["--density-grid", "5"], "density output path required"),
         (["--density-grid", "5", "--density-out", "DIR/missing/d.csv"], "does not exist"),
+        (["--density-out", "DIR/d.csv"], "density_grid is not"),
     ],
 )
 def test_infer_density_arguments_checked_before_output(flags, message, tmp_path, capsys):
@@ -794,6 +831,7 @@ def test_infer_density_arguments_checked_before_output(flags, message, tmp_path,
     assert code == 2
     assert message in err
     assert not out.exists()
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_infer_writes_nothing_when_the_density_grid_fails(tmp_path, capsys, monkeypatch):
