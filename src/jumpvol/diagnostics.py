@@ -29,9 +29,17 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, JumpvolError, NumericError
 from .harness import CoverageConfig, _chunks, _inferred_chunks, _simulated_chunks, replicate
-from .posterior import InverseGammaParams, NormalApprox, mle_from_increments
+from .posterior import (
+    InverseGammaParams,
+    NormalApprox,
+    _invgamma_pdf,
+    _invgamma_ppf,
+    _normal_pdf,
+    _normal_ppf,
+    mle_from_increments,
+)
 from .simulate import (
     DiffusionSpec,
     JumpRealization,
@@ -46,7 +54,7 @@ from .simulate import (
 from .threshold import ThresholdRule, _flag_rows, estimate_jump_qv
 
 #: Tails are truncated where both densities fall below this fraction of
-#: their peaks.
+#: their peaks, each density's largest value at its ladder quantiles.
 _TAIL_FRACTION = 1e-12
 
 #: Required absolute accuracy of the TV quadrature.
@@ -61,6 +69,10 @@ _TV_LADDER = np.array([
     0.95, 0.98, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-14,
 ])
 _TV_LADDER.flags.writeable = False
+
+#: Pairs of densities whose TVs one pass of the quadrature takes together:
+#: more pairs cost fewer numpy calls per pair and more memory per pass.
+_TV_PASS = 16
 
 #: Gauss–Legendre nodes and weights on [-1, 1], applied on every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -147,6 +159,21 @@ def _limit(mean: float, variance: float, what: str, truth: TruthSummary) -> Norm
     return limit
 
 
+def _sample_sizes(n_grid) -> list[int]:
+    """The entries of ``n_grid`` as ints; the first entry that is not an
+    integer is refused, named."""
+    grid = []
+    for n in n_grid:
+        try:
+            size = int(n)
+        except (TypeError, ValueError, OverflowError):
+            size = None
+        if size is None or size != n:
+            raise ConfigurationError(f"n_grid entry {n!r} is not an integer")
+        grid.append(size)
+    return grid
+
+
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
     """``values / 2**k`` and ``2**k``, with ``2**k`` near their largest
     magnitude, so that no square or sum of the scaled values overflows.
@@ -169,22 +196,193 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 # Total variation distance
 # ---------------------------------------------------------------------------
 
-def _support_and_knots(dist):
-    knots = dist.ppf(_TV_LADDER)
-    lo, hi = float(knots[0]), float(knots[-1])
-    grid = np.linspace(lo, hi, 1025)
-    peak = float(np.max(dist.pdf(grid)))
-    if not peak > 0:
-        raise ConfigurationError("density has no visible mass on its own quantile range")
-    return lo, hi, peak, knots
+@dataclass(frozen=True)
+class _One:
+    """Any one law with ``pdf`` and ``ppf``, as a stack of one pair.  A probe
+    of its tails calls ``pdf`` with a float."""
+
+    law: object
+
+    def __len__(self) -> int:
+        return 1
+
+    def ppf(self, q) -> np.ndarray:
+        return np.asarray(self.law.ppf(q), dtype=float)[None]
+
+    def pdf(self, x: np.ndarray, pairs=None) -> np.ndarray:
+        if x.ndim == 1:
+            return np.array([float(self.law.pdf(float(x[0])))])
+        return np.asarray(self.law.pdf(x[0]), dtype=float)[None]
+
+
+def _column(values: np.ndarray, ndim: int) -> np.ndarray:
+    """``values``, one per pair, shaped to broadcast against an array of
+    ``ndim`` axes whose first runs over the pairs."""
+    return values.reshape(values.shape + (1,) * (ndim - 1))
+
+
+@dataclass(frozen=True)
+class _Posteriors:
+    """``GibbsPosterior(InverseGammaParams(shape[k], rate[k]), shift[k])`` for
+    each pair ``k``, with its ``pdf`` and ``ppf`` bit for bit."""
+
+    shape: np.ndarray
+    rate: np.ndarray
+    shift: np.ndarray
+
+    def __len__(self) -> int:
+        return self.shift.size
+
+    def take(self, pairs: slice) -> "_Posteriors":
+        return _Posteriors(self.shape[pairs], self.rate[pairs], self.shift[pairs])
+
+    def ppf(self, q) -> np.ndarray:
+        # consecutive pairs of one inverse-gamma law share its quantiles:
+        # subtracting a zero shift is exact
+        new = np.ones(len(self), dtype=bool)
+        new[1:] = (self.shape[1:] != self.shape[:-1]) | (self.rate[1:] != self.rate[:-1])
+        quantiles = _invgamma_ppf(q, self.shape[new, None], self.rate[new, None])
+        return quantiles[np.cumsum(new) - 1] - self.shift[:, None]
+
+    def pdf(self, x: np.ndarray, pairs=slice(None)) -> np.ndarray:
+        shape, rate, shift = (_column(v[pairs], x.ndim) for v in (self.shape, self.rate, self.shift))
+        return _invgamma_pdf(x + shift, shape, rate)
+
+
+@dataclass(frozen=True)
+class _Normals:
+    """``NormalApprox`` laws of means ``mean[k]`` and sds ``sd[k]``, one per
+    pair ``k``, with their ``pdf`` and ``ppf`` bit for bit."""
+
+    mean: np.ndarray
+    sd: np.ndarray
+
+    def __len__(self) -> int:
+        return self.sd.size
+
+    def take(self, pairs: slice) -> "_Normals":
+        return _Normals(self.mean[pairs], self.sd[pairs])
+
+    def ppf(self, q) -> np.ndarray:
+        return _normal_ppf(q, self.mean[:, None], self.sd[:, None])
+
+    def pdf(self, x: np.ndarray, pairs=slice(None)) -> np.ndarray:
+        return _normal_pdf(x, _column(self.mean[pairs], x.ndim), _column(self.sd[pairs], x.ndim))
 
 
 def _gauss_legendre(left: np.ndarray, right: np.ndarray):
     """Nodes and weights of the Gauss–Legendre rule on every panel
-    ``[left[k], right[k]]``, concatenated panel by panel."""
-    half = 0.5 * (right - left)[:, None]
-    mid = 0.5 * (left + right)[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    ``[left[..., k], right[..., k]]``, concatenated panel by panel along the
+    last axis."""
+    half = 0.5 * (right - left)[..., None]
+    mid = 0.5 * (left + right)[..., None]
+    shape = left.shape[:-1] + (-1,)
+    return (mid + half * _GL_NODES).reshape(shape), (half * _GL_WEIGHTS).reshape(shape)
+
+
+def _peaks(laws, knots: np.ndarray) -> np.ndarray:
+    """Each law's largest density at its own ladder quantiles ``knots``: the
+    reference its tails are truncated against.  A law is refused when it has
+    none, or when float64 cannot hold the width of its quantile range."""
+    peak = np.max(laws.pdf(knots), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spanned = np.isfinite(knots[:, -1] - knots[:, 0])
+    if not np.all((peak > 0) & spanned):
+        raise ConfigurationError("density has no visible mass on its own quantile range")
+    return peak
+
+
+def _tv_pass(a, b) -> list[float]:
+    """:func:`tv_distance` of each pair ``(a[k], b[k])`` of two stacks of laws,
+    as one array pass; the first pair, in order, that fails raises its error.
+
+    The tails of every pair are searched as one vector, the panels of all
+    pairs are laid out as one padded node array of 16 nodes a panel (each
+    pair's own panels first, then panels of zero width at its ``hi``), and each
+    density is evaluated once on it.  Each pair's sums then take its own
+    nodes only, in the order and layout the one-pair call has, so each pair's
+    value is that call's bit for bit.
+    """
+    try:
+        return _tv_stack(a, b)
+    except Exception:
+        if len(a) == 1:
+            raise
+        # the pass stopped at its first failure found; the first pair to fail
+        # alone is the one whose error the pairs taken in order raise
+        for k in range(len(a)):
+            _tv_stack(a.take(slice(k, k + 1)), b.take(slice(k, k + 1)))
+        raise
+
+
+def _tv_stack(a, b) -> list[float]:
+    knots_a = a.ppf(_TV_LADDER)
+    peak_a = _peaks(a, knots_a)
+    knots_b = b.ppf(_TV_LADDER)
+    peak_b = _peaks(b, knots_b)
+    lo = np.minimum(knots_a[:, 0], knots_b[:, 0])
+    hi = np.maximum(knots_a[:, -1], knots_b[:, -1])
+
+    # extend each pair's range by a quarter of its span at a time until both
+    # densities are below _TAIL_FRACTION of their peaks, the left end first
+    span = hi - lo
+    for end, step, side in ((lo, -0.25, "left"), (hi, 0.25, "right")):
+        live = np.arange(len(a))
+        for _ in range(60):
+            # b is probed only where a's tail is dead
+            dead = a.pdf(end[live], live) < _TAIL_FRACTION * peak_a[live]
+            if dead.any():
+                dead[dead] = b.pdf(end[live[dead]], live[dead]) < _TAIL_FRACTION * peak_b[live[dead]]
+            live = live[~dead]
+            if not live.size:
+                break
+            end[live] += step * span[live]
+            span[live] = hi[live] - lo[live]
+        else:
+            raise NumericError(f"could not truncate the {side} tail below threshold")
+
+    # each pair's distinct breakpoints first, then copies of its hi
+    edges = np.concatenate((lo[:, None], hi[:, None], knots_a, knots_b), axis=1)
+    edges = np.sort(np.clip(edges, lo[:, None], hi[:, None]), axis=1)
+    distinct = np.ones(edges.shape, dtype=bool)
+    distinct[:, 1:] = edges[:, 1:] != edges[:, :-1]
+    panels = distinct.sum(axis=1) - 1
+    width = int(panels.max())
+    edges = np.take_along_axis(edges, np.argsort(~distinct, axis=1, kind="stable"), axis=1)
+    edges = np.where(np.arange(width + 1) <= panels[:, None], edges[:, :width + 1], hi[:, None])
+    # the coarse panels, then each of them split at its midpoint
+    halves = np.empty((len(a), 2 * width + 1))
+    halves[:, ::2] = edges
+    halves[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    # a pair's coarse and fine panels side by side, then zero-width panels
+    j = np.arange(3 * width)
+    c = panels[:, None]
+    order = np.where(j < c, j, np.where(j < 3 * c, width + j - c, width - 1))
+    left = np.take_along_axis(np.concatenate((edges[:, :-1], halves[:, :-1]), axis=1), order, axis=1)
+    right = np.take_along_axis(np.concatenate((edges[:, 1:], halves[:, 1:]), axis=1), order, axis=1)
+    x, w = _gauss_legendre(left, right)
+    f = a.pdf(x)
+    g = b.pdf(x)
+    d = np.abs(f - g)
+
+    tvs = []
+    for k, count in enumerate(panels.tolist()):
+        split = _GL_NODES.size * count
+        own = slice(0, 3 * split)
+        values = np.stack([f[k, own], g[k, own], d[k, own]])
+        coarse = values[:, :split] @ w[k, :split]
+        fine = values[:, split:] @ w[k, split:own.stop]
+        error = float(np.max(np.abs(coarse - fine)))
+        if error > _TV_ACCURACY:
+            raise NumericError(f"quadrature error {error:.2e} exceeds {_TV_ACCURACY:.0e}")
+
+        mass_a, mass_b, l1 = (float(v) for v in fine)
+        if abs(mass_a - 1.0) > 1e-6:
+            raise ValueError(f"first density integrates to {mass_a}, not 1")
+        if abs(mass_b - 1.0) > 1e-6:
+            raise ValueError(f"second density integrates to {mass_b}, not 1")
+        tvs.append(min(max(0.5 * l1, 0.0), 1.0))
+    return tvs
 
 
 def tv_distance(density_a, density_b) -> float:
@@ -192,67 +390,20 @@ def tv_distance(density_a, density_b) -> float:
 
     Both arguments must expose ``pdf`` and ``ppf`` that take a float or an
     array.  The integral runs over the union of the effective supports,
-    truncating tails where both densities are below 1e-12 of their peaks.
-    Panel breakpoints are the ends of that range and each density's
-    quantiles at the levels of ``_TV_LADDER``, all asked for in one ``ppf``
-    call; every panel gets a 16-point Gauss–Legendre rule, and both
-    densities are evaluated once, on all nodes.  The same rule on the panels
-    split in half gives the returned value; if the two rules disagree on
-    either mass or on the TV by more than 1e-4, a :class:`NumericError` is
-    raised, so the absolute accuracy is 1e-4.  Inputs must each integrate to
-    1 within 1e-6 over that range, otherwise a ``ValueError`` is raised.
+    truncating tails where both densities are below 1e-12 of their largest
+    values at the levels of ``_TV_LADDER``.  Panel breakpoints are the ends
+    of that range and each density's quantiles at those levels, all asked
+    for in one ``ppf`` call; every panel gets a 16-point Gauss–Legendre rule,
+    and both densities are evaluated once, on all nodes.  The same rule on
+    the panels split in half gives the returned value; if the two rules
+    disagree on either mass or on the TV by more than 1e-4, a
+    :class:`NumericError` is raised, so the absolute accuracy is 1e-4.
+    Inputs must each integrate to 1 within 1e-6 over that range, otherwise a
+    ``ValueError`` is raised.  This is the one-pair call of the pass that
+    takes the TVs of ``diag bvm``.
     """
-    lo_a, hi_a, peak_a, knots_a = _support_and_knots(density_a)
-    lo_b, hi_b, peak_b, knots_b = _support_and_knots(density_b)
-    lo = min(lo_a, lo_b)
-    hi = max(hi_a, hi_b)
-
-    def tails_dead(x: float) -> bool:
-        return (
-            float(density_a.pdf(x)) < _TAIL_FRACTION * peak_a
-            and float(density_b.pdf(x)) < _TAIL_FRACTION * peak_b
-        )
-
-    span = hi - lo
-    for _ in range(60):
-        if tails_dead(lo):
-            break
-        lo -= 0.25 * span
-        span = hi - lo
-    else:
-        raise NumericError("could not truncate the left tail below threshold")
-    for _ in range(60):
-        if tails_dead(hi):
-            break
-        hi += 0.25 * span
-        span = hi - lo
-    else:
-        raise NumericError("could not truncate the right tail below threshold")
-
-    edges = np.unique(np.clip(np.concatenate(([lo, hi], knots_a, knots_b)), lo, hi))
-    # the coarse panels, then each of them split at its midpoint
-    halves = np.empty(2 * edges.size - 1)
-    halves[::2] = edges
-    halves[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    x, w = _gauss_legendre(
-        np.concatenate((edges[:-1], halves[:-1])), np.concatenate((edges[1:], halves[1:]))
-    )
-    f = density_a.pdf(x)
-    g = density_b.pdf(x)
-    values = np.stack([f, g, np.abs(f - g)])
-    split = _GL_NODES.size * (edges.size - 1)
-    coarse = values[:, :split] @ w[:split]
-    fine = values[:, split:] @ w[split:]
-    error = float(np.max(np.abs(coarse - fine)))
-    if error > _TV_ACCURACY:
-        raise NumericError(f"quadrature error {error:.2e} exceeds {_TV_ACCURACY:.0e}")
-
-    mass_a, mass_b, l1 = (float(v) for v in fine)
-    if abs(mass_a - 1.0) > 1e-6:
-        raise ValueError(f"first density integrates to {mass_a}, not 1")
-    if abs(mass_b - 1.0) > 1e-6:
-        raise ValueError(f"second density integrates to {mass_b}, not 1")
-    return min(max(0.5 * l1, 0.0), 1.0)
+    (tv,) = _tv_pass(_One(density_a), _One(density_b))
+    return tv
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +431,50 @@ class BvmRow:
 def _bvm_distances(diff, jumps, prior, rule, n, seeds) -> list[tuple[float, float]]:
     """TV distances of the tempered and shifted posteriors to their limits,
     one pair per seed.  The paths are simulated and inferred in the row
-    chunks of the coverage experiment."""
+    chunks of the coverage experiment, and each chunk's TVs are taken in
+    passes of :data:`_TV_PASS` pairs.  A row whose limits cannot be formed
+    raises after the TVs of the rows before it."""
     distances = []
     for mu, rows in _inferred_chunks(diff, jumps, n, seeds, rule, prior):
+        limits, refusal = [], None
         for i, window_sums in enumerate(mu):
-            truth = TruthSummary(diff.theta_star, PathTruth(window_sums).jump_qv, rows.horizon)
-            inf = rows.inference(i)
-            limit_tempered = _limit(
-                inf.theta_hat,
-                2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
-                "the tempered limit variance 2 kappa_dagger theta_dagger^2 / n",
-                truth,
-            )
-            limit_modified = _limit(
-                inf.theta_hat - inf.modified.shift,
-                2.0 * truth.theta_star**2 / n,
-                "the limit variance 2 theta_star^2 / n",
-                truth,
-            )
-            distances.append((tv_distance(inf.posterior, limit_tempered),
-                              tv_distance(inf.modified, limit_modified)))
+            try:
+                truth = TruthSummary(diff.theta_star, PathTruth(window_sums).jump_qv, rows.horizon)
+                if rows.faults[i] is not None:
+                    raise rows.faults[i]
+                theta_hat, shift = float(rows.theta_hat[i]), float(rows.shift[i])
+                limits += [
+                    _limit(
+                        theta_hat,
+                        2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n,
+                        "the tempered limit variance 2 kappa_dagger theta_dagger^2 / n",
+                        truth,
+                    ),
+                    _limit(
+                        theta_hat - shift,
+                        2.0 * truth.theta_star**2 / n,
+                        "the limit variance 2 theta_star^2 / n",
+                        truth,
+                    ),
+                ]
+            except JumpvolError as err:
+                refusal = err
+                break
+        # each row's tempered posterior (no shift), then its shifted one
+        done = len(limits) // 2
+        posteriors = _Posteriors(
+            np.repeat(rows.shape[:done], 2),
+            np.repeat(rows.rate[:done], 2),
+            np.stack([np.zeros(done), rows.shift[:done]], axis=1).ravel(),
+        )
+        normals = _Normals(np.array([l.mean for l in limits]), np.array([l.sd for l in limits]))
+        tvs = []
+        for start in range(0, len(limits), _TV_PASS):
+            part = slice(start, start + _TV_PASS)
+            tvs += _tv_pass(posteriors.take(part), normals.take(part))
+        distances += zip(tvs[::2], tvs[1::2])
+        if refusal is not None:
+            raise refusal
     return distances
 
 
@@ -313,7 +488,7 @@ def bvm_convergence_check(
     threshold: ThresholdRule = CoverageConfig.threshold,
 ) -> list[BvmRow]:
     """Mean TV distance to the normal limits along an increasing n grid."""
-    grid = [int(n) for n in n_grid]
+    grid = _sample_sizes(n_grid)
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("n_grid must be strictly increasing with >= 2 entries")
     if reps < 100:
@@ -488,7 +663,7 @@ def qv_error_rate(
     least-squares slope of log MAE on log n is returned.  If any MAE is zero
     (e.g. no jumps at all) the slope is NaN.
     """
-    grid = sorted({int(n) for n in n_grid})
+    grid = sorted(set(_sample_sizes(n_grid)))
     if len(grid) < 3:
         raise ConfigurationError("n_grid needs at least 3 distinct sample sizes")
     if grid[-1] < 10 * grid[0]:

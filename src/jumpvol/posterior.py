@@ -88,7 +88,15 @@ def _stirlerr(a: float) -> float:
     return (1 / 12 - b * (1 / 360 - b * (1 / 1260 - b * (1 / 1680 - b / 1188)))) / a
 
 
-def _invgamma_pdf(x, shape: float, rate: float):
+def _log_scale(shape):
+    """``log(shape / 2 pi) / 2 - stirlerr(shape)``, of a float or of each
+    element of an array."""
+    if isinstance(shape, np.ndarray):
+        return np.array([_log_scale(a) for a in shape.ravel().tolist()]).reshape(shape.shape)
+    return 0.5 * math.log(shape / (2.0 * math.pi)) - _stirlerr(shape)
+
+
+def _invgamma_pdf(x, shape, rate):
     """Inverse-gamma density in the saddle-point form of Loader (2000), "Fast
     and accurate computation of binomial probabilities": with ``r = rate /
     (shape x)``,
@@ -99,11 +107,13 @@ def _invgamma_pdf(x, shape: float, rate: float):
     not grow with the shape as it does in ``shape log rate - gammaln(shape)
     - (shape + 1) log x - rate / x``.  ``r - 1`` is exact near the mode, and
     ``log r`` (not ``log1p(r - 1)``) keeps its precision far in the right
-    tail, where ``r`` is tiny.
+    tail, where ``r`` is tiny.  ``shape`` and ``rate`` are floats, or arrays
+    that broadcast against ``x`` with one law per element; each element is
+    then what the floats give.
     """
     # a float becomes a numpy scalar, whose arithmetic costs less than a 0-d array's
     x = np.asarray(x, dtype=float)[()]
-    log_scale = 0.5 * math.log(shape / (2.0 * math.pi)) - _stirlerr(shape)
+    log_scale = _log_scale(shape)
     # evaluated everywhere, and replaced by 0 where x <= 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # capped so that an overflowing ratio gives a zero density, not inf - inf
@@ -277,18 +287,30 @@ class NormalApprox:
         return math.sqrt(self.variance)
 
     def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        with np.errstate(over="ignore"):  # a square past the float range gives exp(-inf) = 0
-            out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-        return out if out.ndim else float(out)
+        return _normal_pdf(x, self.mean, self.sd)
 
     def cdf(self, x):
         out = sc.ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
         return out if out.ndim else float(out)
 
     def ppf(self, q):
-        out = self.mean + self.sd * sc.ndtri(_levels(q))
+        out = _normal_ppf(_levels(q), self.mean, self.sd)
         return out if out.ndim else float(out)
+
+
+def _normal_pdf(x, mean, sd):
+    """The ``N(mean, sd^2)`` density at ``x``; ``mean`` and ``sd`` are floats,
+    or arrays that broadcast against ``x`` with one law per element."""
+    z = (np.asarray(x, dtype=float) - mean) / sd
+    with np.errstate(over="ignore"):  # a square past the float range gives exp(-inf) = 0
+        out = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    return out if out.ndim else float(out)
+
+
+def _normal_ppf(q, mean, sd):
+    """The ``N(mean, sd^2)`` quantiles at levels ``q``, broadcast as in
+    :func:`_normal_pdf`."""
+    return mean + sd * sc.ndtri(q)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -30,6 +32,7 @@ from jumpvol import (
     tempered_update,
     tv_distance,
 )
+from jumpvol import diagnostics
 from jumpvol.diagnostics import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -37,6 +40,9 @@ from jumpvol.diagnostics import (
     _TV_LADDER,
     _bvm_distances,
     _mean_and_stderr,
+    _Normals,
+    _Posteriors,
+    _tv_pass,
 )
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
@@ -148,6 +154,14 @@ def test_tv_rejects_unnormalized_density():
 
     with pytest.raises(ValueError):
         tv_distance(Doubled(), NormalApprox(0.0, 1.0))
+
+
+def test_tv_refuses_a_quantile_range_float64_cannot_span():
+    # the top ladder quantiles of IG(2, 1e305) overflow to inf
+    wide = GibbsPosterior(InverseGammaParams(2.0, 1e305))
+    for pair in ((wide, NormalApprox(1.0, 1.0)), (NormalApprox(1.0, 1.0), wide)):
+        with pytest.raises(ConfigurationError, match="no visible mass on its own quantile range"):
+            tv_distance(*pair)
 
 
 def test_bvm_distances_at_a_tempered_shape_of_2e8():
@@ -304,6 +318,65 @@ def test_tv_is_the_scalar_rule_bit_for_bit_with_mass_below_zero_and_live_tails()
     assert tv == _scalar_tv(_Unit(), narrow)
 
 
+#: One pair of a stack: the posterior's log10 shape, its scale rate / shape,
+#: its shift as a multiple of that scale, the limit's log10 sd and its offset
+#: (both in units of the posterior's spread scale / sqrt(shape)), and whether
+#: it repeats the law of the pair before, as the shifted pair of a ``diag
+#: bvm`` row repeats its tempered one.  One limit in eight is 1e-10 of the
+#: spread or narrower: it collapses onto a few floats and fails a guard of the
+#: quadrature, so most stacks pass whole and some fail at one or more pairs.
+_STACKED_PAIR = st.tuples(
+    st.floats(math.log10(2.0), math.log10(2e8)),
+    st.floats(1e-2, 1e2),
+    st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    st.integers(0, 7).flatmap(
+        lambda k: st.floats(-16.0, -10.0) if k == 0 else st.floats(-3.0, 2.0)
+    ),
+    st.floats(-30.0, 30.0),
+    st.booleans(),
+)
+
+
+def _outcome(call):
+    """What ``call()`` gives: its value, or its error's type and message."""
+    try:
+        return call()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.lists(_STACKED_PAIR, min_size=1, max_size=20))
+def test_tv_pass_is_the_one_pair_tv_bit_for_bit(pairs):
+    # shapes reach the refined quantiles of _invgamma_ppf from about 3.5e7
+    laws, limits = [], []
+    for log_shape, scale, shift, log_sd, offset, repeat in pairs:
+        shape, rate = (laws[-1].ig.shape, laws[-1].ig.rate) if repeat and laws else (
+            10.0**log_shape, scale * 10.0**log_shape
+        )
+        spread = (rate / shape) / math.sqrt(shape)
+        laws.append(GibbsPosterior(InverseGammaParams(shape, rate), shift * rate / shape))
+        limits.append(NormalApprox(
+            rate / shape - laws[-1].shift + offset * spread, (spread * 10.0**log_sd) ** 2
+        ))
+    expected = [_outcome(lambda: tv_distance(law, limit)) for law, limit in zip(laws, limits)]
+    stack = _outcome(lambda: _tv_pass(
+        _Posteriors(*(np.array(v) for v in zip(*((l.ig.shape, l.ig.rate, l.shift) for l in laws)))),
+        _Normals(np.array([l.mean for l in limits]), np.array([l.sd for l in limits])),
+    ))
+    failures = [e for e in expected if isinstance(e, tuple)]
+    assert stack == (failures[0] if failures else expected)
+
+
+def test_tv_pass_raises_its_first_failing_pair_before_a_later_one_refused_sooner():
+    # the second pair's range is refused before any quadrature, the first
+    # pair's narrow limit only at the mass check that follows it
+    posteriors = _Posteriors(np.array([10.0, 2.0]), np.array([10.0, 1e305]), np.zeros(2))
+    limits = _Normals(np.array([1.0, 1.0]), np.array([1e-13, 1.0]))
+    with pytest.raises(ValueError, match="^second density integrates to 0.99992966"):
+        _tv_pass(posteriors, limits)
+
+
 # ---------------------------------------------------------------------------
 # Normal-limit convergence
 # ---------------------------------------------------------------------------
@@ -406,6 +479,32 @@ def test_bvm_check_validation():
         bvm_convergence_check(DIFF, JUMPS, (4000, 1000), reps=100, seed=0)
     with pytest.raises(ConfigurationError):
         bvm_convergence_check(DIFF, JUMPS, (1000, 4000), reps=10, seed=0)
+
+
+def test_bvm_check_refuses_a_sample_size_that_is_not_an_integer():
+    # int() would run n = 40 and report it as such
+    with pytest.raises(ConfigurationError, match="^n_grid entry 40.9 is not an integer$"):
+        bvm_convergence_check(DIFF, JUMPS, (40.9, 80), reps=100, seed=1)
+    with pytest.raises(ConfigurationError, match="^n_grid entry nan is not an integer$"):
+        bvm_convergence_check(DIFF, JUMPS, (40, math.nan), reps=100, seed=1)
+
+
+@pytest.mark.parametrize(
+    "jumps, n_grid, seed",
+    [
+        # the golden diag bvm config: 163 and 81 rows to a chunk
+        (JUMPS, (200, 400), 0),
+        # 109 and 46 rows to a chunk: 218 and 92 pairs, neither a multiple of 16
+        (JumpSpec.two_point(32.0, 1.0), (300, 700), 2),
+    ],
+)
+def test_bvm_rows_do_not_depend_on_the_pass_size(monkeypatch, jumps, n_grid, seed):
+    rows = {}
+    for size in (1, diagnostics._TV_PASS):
+        monkeypatch.setattr(diagnostics, "_TV_PASS", size)
+        rows[size] = bvm_convergence_check(DIFF, jumps, n_grid, reps=100, seed=seed)
+    (one, default) = rows.values()
+    assert repr(one) == repr(default)
 
 
 # ---------------------------------------------------------------------------

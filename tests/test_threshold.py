@@ -240,6 +240,12 @@ def test_qv_error_rate_validation():
         qv_error_rate(DIFF, JUMPS, (1000, 4000, 16000), reps=50, seed=0)
 
 
+def test_qv_error_rate_refuses_a_sample_size_that_is_not_an_integer():
+    # int() would run n = 20 and report it as such
+    with pytest.raises(ConfigurationError, match="^n_grid entry 20.5 is not an integer$"):
+        qv_error_rate(DIFF, JUMPS, (20.5, 60, 200), reps=200, seed=0)
+
+
 def test_qv_error_rate_no_jumps():
     # with nothing to estimate, the MAE is just the occasional false flag's
     # squared increment: near zero on the scale of any jump; the slope fit
