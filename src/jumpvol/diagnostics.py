@@ -30,7 +30,15 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, JumpvolError, NumericError
-from .harness import CoverageConfig, _chunks, _inferred_chunks, _simulated_chunks, replicate
+from .harness import (
+    CoverageConfig,
+    _chunks,
+    _inferred_chunks,
+    _integer,
+    _sample_sizes,
+    _simulated_chunks,
+    replicate,
+)
 from .posterior import (
     InverseGammaParams,
     NormalApprox,
@@ -159,21 +167,6 @@ def _limit(mean: float, variance: float, what: str, truth: TruthSummary) -> Norm
     return limit
 
 
-def _sample_sizes(n_grid) -> list[int]:
-    """The entries of ``n_grid`` as ints; the first entry that is not an
-    integer is refused, named."""
-    grid = []
-    for n in n_grid:
-        try:
-            size = int(n)
-        except (TypeError, ValueError, OverflowError):
-            size = None
-        if size is None or size != n:
-            raise ConfigurationError(f"n_grid entry {n!r} is not an integer")
-        grid.append(size)
-    return grid
-
-
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
     """``values / 2**k`` and ``2**k``, with ``2**k`` near their largest
     magnitude, so that no square or sum of the scaled values overflows.
@@ -199,7 +192,7 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class _One:
     """Any one law with ``pdf`` and ``ppf``, as a stack of one pair.  A probe
-    of its tails calls ``pdf`` with a float."""
+    of its tails, an array of shape ``(1, 1)``, calls ``pdf`` with a float."""
 
     law: object
 
@@ -209,16 +202,10 @@ class _One:
     def ppf(self, q) -> np.ndarray:
         return np.asarray(self.law.ppf(q), dtype=float)[None]
 
-    def pdf(self, x: np.ndarray, pairs=None) -> np.ndarray:
-        if x.ndim == 1:
-            return np.array([float(self.law.pdf(float(x[0])))])
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        if x.shape == (1, 1):
+            return np.array([[float(self.law.pdf(float(x[0, 0])))]])
         return np.asarray(self.law.pdf(x[0]), dtype=float)[None]
-
-
-def _column(values: np.ndarray, ndim: int) -> np.ndarray:
-    """``values``, one per pair, shaped to broadcast against an array of
-    ``ndim`` axes whose first runs over the pairs."""
-    return values.reshape(values.shape + (1,) * (ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -244,9 +231,8 @@ class _Posteriors:
         quantiles = _invgamma_ppf(q, self.shape[new, None], self.rate[new, None])
         return quantiles[np.cumsum(new) - 1] - self.shift[:, None]
 
-    def pdf(self, x: np.ndarray, pairs=slice(None)) -> np.ndarray:
-        shape, rate, shift = (_column(v[pairs], x.ndim) for v in (self.shape, self.rate, self.shift))
-        return _invgamma_pdf(x + shift, shape, rate)
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return _invgamma_pdf(x + self.shift[:, None], self.shape[:, None], self.rate[:, None])
 
 
 @dataclass(frozen=True)
@@ -266,8 +252,8 @@ class _Normals:
     def ppf(self, q) -> np.ndarray:
         return _normal_ppf(q, self.mean[:, None], self.sd[:, None])
 
-    def pdf(self, x: np.ndarray, pairs=slice(None)) -> np.ndarray:
-        return _normal_pdf(x, _column(self.mean[pairs], x.ndim), _column(self.sd[pairs], x.ndim))
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return _normal_pdf(x, self.mean[:, None], self.sd[:, None])
 
 
 def _gauss_legendre(left: np.ndarray, right: np.ndarray):
@@ -296,12 +282,12 @@ def _tv_pass(a, b) -> list[float]:
     """:func:`tv_distance` of each pair ``(a[k], b[k])`` of two stacks of laws,
     as one array pass; the first pair, in order, that fails raises its error.
 
-    The tails of every pair are searched as one vector, the panels of all
-    pairs are laid out as one padded node array of 16 nodes a panel (each
-    pair's own panels first, then panels of zero width at its ``hi``), and each
-    density is evaluated once on it.  Each pair's sums then take its own
-    nodes only, in the order and layout the one-pair call has, so each pair's
-    value is that call's bit for bit.
+    Each step of the tail search probes every pair's end as one column.  A
+    pair's row of the node array, 16 nodes a panel, holds its coarse panels
+    padded to the widest pair's count, then its halved panels padded to twice
+    that, the padding being panels of zero width at its ``hi``; each density
+    is evaluated once on it.  Each pair's sums take its own nodes only, in the
+    one-pair call's order, so each pair's value is that call's bit for bit.
     """
     try:
         return _tv_stack(a, b)
@@ -317,61 +303,51 @@ def _tv_pass(a, b) -> list[float]:
 
 def _tv_stack(a, b) -> list[float]:
     knots_a = a.ppf(_TV_LADDER)
-    peak_a = _peaks(a, knots_a)
+    peak_a = _peaks(a, knots_a)[:, None]
     knots_b = b.ppf(_TV_LADDER)
-    peak_b = _peaks(b, knots_b)
-    lo = np.minimum(knots_a[:, 0], knots_b[:, 0])
-    hi = np.maximum(knots_a[:, -1], knots_b[:, -1])
+    peak_b = _peaks(b, knots_b)[:, None]
+    lo = np.minimum(knots_a[:, :1], knots_b[:, :1])
+    hi = np.maximum(knots_a[:, -1:], knots_b[:, -1:])
 
     # extend each pair's range by a quarter of its span at a time until both
-    # densities are below _TAIL_FRACTION of their peaks, the left end first
-    span = hi - lo
+    # densities are below _TAIL_FRACTION of their peaks, the left end first;
+    # a dead end stays put, so probing it again gives the same answer
     for end, step, side in ((lo, -0.25, "left"), (hi, 0.25, "right")):
-        live = np.arange(len(a))
         for _ in range(60):
-            # b is probed only where a's tail is dead
-            dead = a.pdf(end[live], live) < _TAIL_FRACTION * peak_a[live]
-            if dead.any():
-                dead[dead] = b.pdf(end[live[dead]], live[dead]) < _TAIL_FRACTION * peak_b[live[dead]]
-            live = live[~dead]
-            if not live.size:
+            dead = a.pdf(end) < _TAIL_FRACTION * peak_a
+            if dead.any():  # b is probed only if some end of a is dead
+                dead &= b.pdf(end) < _TAIL_FRACTION * peak_b
+            if dead.all():
                 break
-            end[live] += step * span[live]
-            span[live] = hi[live] - lo[live]
+            end[~dead] += step * (hi - lo)[~dead]
         else:
             raise NumericError(f"could not truncate the {side} tail below threshold")
 
-    # each pair's distinct breakpoints first, then copies of its hi
-    edges = np.concatenate((lo[:, None], hi[:, None], knots_a, knots_b), axis=1)
-    edges = np.sort(np.clip(edges, lo[:, None], hi[:, None]), axis=1)
-    distinct = np.ones(edges.shape, dtype=bool)
-    distinct[:, 1:] = edges[:, 1:] != edges[:, :-1]
-    panels = distinct.sum(axis=1) - 1
+    # each repeated breakpoint moved onto hi: a pair's distinct breakpoints
+    # come first, then copies of its hi
+    edges = np.sort(np.clip(np.concatenate((lo, hi, knots_a, knots_b), axis=1), lo, hi), axis=1)
+    np.copyto(edges[:, 1:], hi, where=edges[:, 1:] == edges[:, :-1])
+    edges.sort(axis=1)
+    panels = np.count_nonzero(edges < hi, axis=1)
     width = int(panels.max())
-    edges = np.take_along_axis(edges, np.argsort(~distinct, axis=1, kind="stable"), axis=1)
-    edges = np.where(np.arange(width + 1) <= panels[:, None], edges[:, :width + 1], hi[:, None])
+    edges = edges[:, :width + 1]
     # the coarse panels, then each of them split at its midpoint
     halves = np.empty((len(a), 2 * width + 1))
     halves[:, ::2] = edges
     halves[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    # a pair's coarse and fine panels side by side, then zero-width panels
-    j = np.arange(3 * width)
-    c = panels[:, None]
-    order = np.where(j < c, j, np.where(j < 3 * c, width + j - c, width - 1))
-    left = np.take_along_axis(np.concatenate((edges[:, :-1], halves[:, :-1]), axis=1), order, axis=1)
-    right = np.take_along_axis(np.concatenate((edges[:, 1:], halves[:, 1:]), axis=1), order, axis=1)
-    x, w = _gauss_legendre(left, right)
-    f = a.pdf(x)
-    g = b.pdf(x)
+    # a row's coarse panels padded to width, then its halves padded to 2 width
+    left = np.concatenate((edges[:, :-1], halves[:, :-1]), axis=1)
+    x, w = _gauss_legendre(left, np.concatenate((edges[:, 1:], halves[:, 1:]), axis=1))
+    f, g = a.pdf(x), b.pdf(x)
     d = np.abs(f - g)
 
     tvs = []
+    nodes = _GL_NODES.size
     for k, count in enumerate(panels.tolist()):
-        split = _GL_NODES.size * count
-        own = slice(0, 3 * split)
-        values = np.stack([f[k, own], g[k, own], d[k, own]])
-        coarse = values[:, :split] @ w[k, :split]
-        fine = values[:, split:] @ w[k, split:own.stop]
+        coarse, fine = (
+            np.stack([f[k, own], g[k, own], d[k, own]]) @ w[k, own]
+            for own in (slice(0, nodes * count), slice(nodes * width, nodes * (width + 2 * count)))
+        )
         error = float(np.max(np.abs(coarse - fine)))
         if error > _TV_ACCURACY:
             raise NumericError(f"quadrature error {error:.2e} exceeds {_TV_ACCURACY:.0e}")
@@ -581,6 +557,7 @@ def mse_oracle(
 ) -> MseOracleResult:
     """Redraw the diffusion part ``reps`` times against one frozen jump path
     and measure how ``theta_hat`` scatters around ``theta_dagger``."""
+    n = _integer(n, "n")
     if reps < 1000:
         raise ConfigurationError(f"need at least 1000 replications, got {reps}")
     jump_truth = PathTruth(bin_jumps(fixed_jumps, n, diff.horizon)[0])
@@ -606,7 +583,7 @@ def mse_oracle(
     _, variance_stderr = _mean_and_stderr(squares)
     scaled, scale = _scaled(squares)  # so the sum in estimates.var(ddof=1) cannot overflow
     return MseOracleResult(
-        n=int(n),
+        n=n,
         reps=int(reps),
         theta_dagger=float(truth.theta_dagger),
         empirical_mse=mse,

@@ -66,7 +66,7 @@ class CoverageConfig:
     def __post_init__(self):
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "tau_grid", tuple(float(v) for v in self.tau_grid))
-        object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_sample_sizes(self.n_grid)))
         if not (self.lambda_grid and self.tau_grid and self.n_grid):
             raise ConfigurationError("all grids must be nonempty")
         if self.reps < 1:
@@ -129,6 +129,23 @@ def _run_block(task) -> list:
     return stat(cell, _derive_seeds(base_seed, index, block))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: the one rule for replication counts and sample
+    sizes.  A bool, or a value that is not an integer, is refused, named."""
+    try:
+        number = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ConfigurationError(f"{what} {value!r} is not an integer")
+    return number
+
+
+def _sample_sizes(n_grid) -> list[int]:
+    """The entries of ``n_grid`` by :func:`_integer`."""
+    return [_integer(n, "n_grid entry") for n in n_grid]
+
+
 def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[list]:
     """The results of the replications ``rep < reps`` of each cell, one list
     per cell in rep order.  ``stat(cells[index], seeds)`` gives one result per
@@ -136,6 +153,7 @@ def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[
     one for the whole block.  Blocks of ``_BLOCK`` replications run in turn
     or, for ``workers > 1``, in a process pool, for which ``stat`` and the
     cells must pickle; the results do not depend on the worker count."""
+    reps = _integer(reps, "reps")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     blocks = [range(start, min(start + _BLOCK, reps)) for start in range(0, reps, _BLOCK)]

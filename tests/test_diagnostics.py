@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
@@ -347,6 +347,10 @@ def _outcome(call):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(st.lists(_STACKED_PAIR, min_size=1, max_size=20))
+# IG(100, 100) against N(1, 0.1^2) and against N(3, (1e-17)^2): the right
+# tail search steps with the first pair's tail dead and the second's live,
+# and the second pair alone fails its mass check
+@example([(2.0, 1.0, 0.0, 0.0, 0.0, False), (2.0, 1.0, 0.0, -16.0, 20.0, False)])
 def test_tv_pass_is_the_one_pair_tv_bit_for_bit(pairs):
     # shapes reach the refined quantiles of _invgamma_ppf from about 3.5e7
     laws, limits = [], []
@@ -489,6 +493,12 @@ def test_bvm_check_refuses_a_sample_size_that_is_not_an_integer():
         bvm_convergence_check(DIFF, JUMPS, (40, math.nan), reps=100, seed=1)
 
 
+def test_bvm_check_refuses_a_replication_count_that_is_not_an_integer():
+    # range() would raise a bare TypeError on it
+    with pytest.raises(ConfigurationError, match="^reps 100.5 is not an integer$"):
+        bvm_convergence_check(DIFF, JUMPS, (40, 80), reps=100.5, seed=1)
+
+
 @pytest.mark.parametrize(
     "jumps, n_grid, seed",
     [
@@ -547,6 +557,15 @@ def test_mse_oracle_requires_enough_reps():
     empty = JumpRealization(times=np.array([]), sizes=np.array([]))
     with pytest.raises(ConfigurationError):
         mse_oracle(DIFF, empty, n=100, reps=10, seed=0)
+
+
+def test_mse_oracle_refuses_counts_that_are_not_integers():
+    # range() on reps and numpy's cast on n would raise bare TypeErrors
+    empty = JumpRealization(times=np.array([]), sizes=np.array([]))
+    with pytest.raises(ConfigurationError, match="^reps 1000.5 is not an integer$"):
+        mse_oracle(DIFF, empty, n=100, reps=1000.5, seed=0)
+    with pytest.raises(ConfigurationError, match="^n 40.5 is not an integer$"):
+        mse_oracle(DIFF, empty, n=40.5, reps=1000, seed=0)
 
 
 def test_mse_halves_when_n_doubles():

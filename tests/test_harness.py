@@ -160,6 +160,19 @@ def test_config_validation():
         CoverageConfig(diffusion=DIFF, level=1.0)
 
 
+def test_coverage_refuses_counts_that_are_not_integers():
+    # int() would run n = 40, range() would raise a bare TypeError on reps
+    # 2.5, and reps True would run one replication, written to the CSV as True
+    with pytest.raises(ConfigurationError, match="^n_grid entry 40.9 is not an integer$"):
+        CoverageConfig(diffusion=DIFF, n_grid=(40.9,))
+    for reps in (2.5, True):
+        config = CoverageConfig(
+            diffusion=DIFF, lambda_grid=(4.0,), tau_grid=(2.0,), n_grid=(300,), reps=reps
+        )
+        with pytest.raises(ConfigurationError, match=f"^reps {reps} is not an integer$"):
+            run_coverage(config)
+
+
 def test_single_replication_cell():
     config = CoverageConfig(
         diffusion=DIFF, lambda_grid=(4.0,), tau_grid=(2.0,), n_grid=(300,), reps=1, base_seed=2

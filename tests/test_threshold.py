@@ -246,6 +246,12 @@ def test_qv_error_rate_refuses_a_sample_size_that_is_not_an_integer():
         qv_error_rate(DIFF, JUMPS, (20.5, 60, 200), reps=200, seed=0)
 
 
+def test_qv_error_rate_refuses_a_replication_count_that_is_not_an_integer():
+    # range() would raise a bare TypeError on it
+    with pytest.raises(ConfigurationError, match="^reps 200.5 is not an integer$"):
+        qv_error_rate(DIFF, JUMPS, (20, 60, 200), reps=200.5, seed=0)
+
+
 def test_qv_error_rate_no_jumps():
     # with nothing to estimate, the MAE is just the occasional false flag's
     # squared increment: near zero on the scale of any jump; the slope fit
