@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -562,6 +563,9 @@ def main(argv=None) -> int:
     except (OSError, MemoryError) as err:
         kind = "out of memory" if isinstance(err, MemoryError) else "I/O error"
         print(f"jumpvol: {kind}: {err}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool as err:  # a worker killed, as by the out-of-memory killer
+        print(f"jumpvol: worker process died: {err}", file=sys.stderr)
         return 3
 
 

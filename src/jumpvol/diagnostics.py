@@ -34,7 +34,6 @@ from .harness import (
     CoverageConfig,
     _chunks,
     _inferred_chunks,
-    _integer,
     _sample_sizes,
     _simulated_chunks,
     replicate,
@@ -55,6 +54,7 @@ from .simulate import (
     PathTruth,
     SamplePath,
     _check_increments,
+    _integer,
     _path_rows,
     _streams,
     bin_jumps,
@@ -467,6 +467,7 @@ def bvm_convergence_check(
     grid = _sample_sizes(n_grid)
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("n_grid must be strictly increasing with >= 2 entries")
+    reps = _integer(reps, "reps")
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
     stat = partial(_bvm_distances, diff, jumps, prior, threshold)
@@ -558,6 +559,7 @@ def mse_oracle(
     """Redraw the diffusion part ``reps`` times against one frozen jump path
     and measure how ``theta_hat`` scatters around ``theta_dagger``."""
     n = _integer(n, "n")
+    reps = _integer(reps, "reps")
     if reps < 1000:
         raise ConfigurationError(f"need at least 1000 replications, got {reps}")
     jump_truth = PathTruth(bin_jumps(fixed_jumps, n, diff.horizon)[0])
@@ -584,7 +586,7 @@ def mse_oracle(
     scaled, scale = _scaled(squares)  # so the sum in estimates.var(ddof=1) cannot overflow
     return MseOracleResult(
         n=n,
-        reps=int(reps),
+        reps=reps,
         theta_dagger=float(truth.theta_dagger),
         empirical_mse=mse,
         empirical_mse_stderr=mse_stderr,
@@ -645,6 +647,7 @@ def qv_error_rate(
         raise ConfigurationError("n_grid needs at least 3 distinct sample sizes")
     if grid[-1] < 10 * grid[0]:
         raise ConfigurationError("n_grid must span at least one decade")
+    reps = _integer(reps, "reps")
     if reps < 200:
         raise ConfigurationError(f"need at least 200 replications, got {reps}")
     results = replicate(partial(_qv_errors, diff, jumps, threshold), grid, reps, seed)

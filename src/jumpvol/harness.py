@@ -19,7 +19,6 @@ __all__ = [
 
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, islice, product
@@ -32,7 +31,9 @@ from .simulate import (
     _MASK32,
     DiffusionSpec,
     JumpSpec,
+    _integer,
     _opened,
+    _ordered_map,
     _seed_states,
     _simulate_rows,
     _spawned_entropy,
@@ -69,6 +70,7 @@ class CoverageConfig:
         object.__setattr__(self, "n_grid", tuple(_sample_sizes(self.n_grid)))
         if not (self.lambda_grid and self.tau_grid and self.n_grid):
             raise ConfigurationError("all grids must be nonempty")
+        object.__setattr__(self, "reps", _integer(self.reps, "reps"))
         if self.reps < 1:
             raise ConfigurationError(f"reps must be >= 1, got {self.reps}")
         if not 0.0 < self.level < 1.0:
@@ -129,18 +131,6 @@ def _run_block(task) -> list:
     return stat(cell, _derive_seeds(base_seed, index, block))
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int: the one rule for replication counts and sample
-    sizes.  A bool, or a value that is not an integer, is refused, named."""
-    try:
-        number = None if isinstance(value, (bool, np.bool_)) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number != value:
-        raise ConfigurationError(f"{what} {value!r} is not an integer")
-    return number
-
-
 def _sample_sizes(n_grid) -> list[int]:
     """The entries of ``n_grid`` by :func:`_integer`."""
     return [_integer(n, "n_grid entry") for n in n_grid]
@@ -154,21 +144,14 @@ def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[
     or, for ``workers > 1``, in a process pool, for which ``stat`` and the
     cells must pickle; the results do not depend on the worker count."""
     reps = _integer(reps, "reps")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     blocks = [range(start, min(start + _BLOCK, reps)) for start in range(0, reps, _BLOCK)]
     tasks = [
         (stat, cell, index, base_seed, block)
         for index, cell in enumerate(cells)
         for block in blocks
     ]
-    workers = min(workers, len(tasks))  # a pool starts all its workers at once
-    if workers <= 1:
-        results = map(_run_block, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = iter(list(pool.map(_run_block, tasks, chunksize=1)))
-    return [list(chain.from_iterable(islice(results, len(blocks)))) for _ in cells]
+    with _ordered_map(_run_block, tasks, workers) as results:
+        return [list(chain.from_iterable(islice(results, len(blocks)))) for _ in cells]
 
 
 def _chunks(n: int, rows: list) -> list[list]:

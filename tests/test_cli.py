@@ -642,6 +642,26 @@ def test_infer_headerless_input(tmp_path, capsys):
     assert record["interval"]["lo"] < record["interval"]["hi"]
 
 
+@pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+def test_infer_reads_a_utf8_bom_and_crlf_as_the_plain_file(tmp_path, capsys, header):
+    # spreadsheets save "CSV UTF-8" with a byte-order mark and CRLF line ends;
+    # the mark once reached the header as an unknown column '\ufeffindex'
+    plain = tmp_path / "plain.csv"
+    run_cli(["simulate", "--n", "500", "--seed", "3", "--out", str(plain)], capsys)
+    text = plain.read_text()
+    if not header:
+        text = "".join(line.split(",")[2] + "\n" for line in text.splitlines()[1:])
+        plain.write_text(text)
+    exported = tmp_path / "exported.csv"
+    exported.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    records = []
+    for source in (plain, exported):
+        code, out, err = run_cli(["infer", "--input", str(source), "--out", "-"], capsys)
+        assert (code, err) == (0, "")
+        records.append(out)
+    assert records[0] == records[1]
+
+
 def test_infer_infinite_fixed_threshold_gives_plain_bayes(tmp_path, capsys):
     csv_path = tmp_path / "path.csv"
     run_cli(["simulate", "--n", "500", "--seed", "4", "--out", str(csv_path)], capsys)

@@ -1,5 +1,9 @@
 import contextlib
 import io
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -138,6 +142,137 @@ def test_unseekable_stream_names_bad_row():
         read_increments_csv(Pipe("index,t_i,D_i\n1,0.5,0.1\n2,1.0,abc\n"))
     data = read_increments_csv(Pipe("index,t_i,D_i\n1,0.5,0.1\n2,1.0,0.2\n"))
     assert np.array_equal(data.increments, [0.1, 0.2])
+
+
+# ---------------------------------------------------------------------------
+# The pooled writer
+# ---------------------------------------------------------------------------
+
+def _simulate_text(capsys, tmp_path, rows, with_truth, to_stream):
+    """``simulate``'s CSV, written to a file or to stdout."""
+    args = ["simulate", "--n", "2500", "--seed", "4"] + (["--with-truth"] if with_truth else [])
+    target = tmp_path / f"path-{rows}.csv"
+    with mock.patch.object(simulate, "_WRITE_CHUNK_ROWS", rows):
+        code = main(args + ["--out", "-" if to_stream else str(target)])
+    out = capsys.readouterr().out
+    assert code == 0
+    return out if to_stream else target.read_text()
+
+
+@contextlib.contextmanager
+def _writer_processes(cpus, rows_per_worker):
+    """The writer on ``cpus`` usable CPUs, a process for each ``rows_per_worker`` rows."""
+    with mock.patch.object(simulate, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(simulate, "_ROWS_PER_WORKER", rows_per_worker):
+        yield
+
+
+@pytest.mark.parametrize("to_stream", [False, True], ids=["file", "stdout"])
+@pytest.mark.parametrize("with_truth", [False, True])
+def test_pooled_blocks_write_the_bytes_of_one_block(capsys, tmp_path, with_truth, to_stream):
+    # 2500 rows in blocks of 300: eight whole blocks and a short last one,
+    # formatted by two worker processes whatever this host's CPU count
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _writer_processes(2, 1000), mock.patch.object(simulate, "ProcessPoolExecutor", pool):
+        pooled = _simulate_text(capsys, tmp_path, 300, with_truth, to_stream)
+    assert pool.call_args == mock.call(max_workers=2)
+    assert multiprocessing.active_children() == []
+    assert pooled == _simulate_text(capsys, tmp_path, 10**6, with_truth, to_stream)
+    assert pooled.count("\n") == 2501
+
+
+@pytest.mark.parametrize("n, workers", [(199, None), (200, 2), (299, 2), (300, 3), (10**3, 3)])
+def test_a_writer_process_starts_for_each_rows_per_worker_up_to_the_cpus(n, workers):
+    # a pool pays for its start only from 2 * _ROWS_PER_WORKER rows on, so a
+    # shorter path is formatted in this process however many blocks it has
+    path = simulate_path(DIFF, JUMPS, n, 4)
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _writer_processes(3, 100), mock.patch.object(simulate, "ProcessPoolExecutor", pool), \
+            mock.patch.object(simulate, "_WRITE_CHUNK_ROWS", 50):
+        text = increments_csv_text(path)
+    assert pool.call_args == (None if workers is None else mock.call(max_workers=workers))
+    assert text == increments_csv_text(path)
+
+
+def test_a_slow_reader_holds_at_most_two_blocks_a_worker():
+    # the pool is fed as blocks are written, so a stream slower than the
+    # workers never has more than four of the twenty blocks formatting or
+    # formatted and waiting; a map over all blocks would submit all twenty
+    submitted = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(None)
+            return super().submit(*args, **kwargs)
+
+    in_flight = []
+
+    class SlowStream(io.StringIO):
+        def write(self, text):
+            if self.tell():  # a block, after the header
+                in_flight.append(len(submitted) - len(in_flight))
+                time.sleep(0.2 if len(in_flight) == 1 else 0.0)
+            return super().write(text)
+
+    path = simulate_path(DIFF, JUMPS, 2000, 4)
+    stream = SlowStream()
+    with _writer_processes(2, 100), mock.patch.object(simulate, "_WRITE_CHUNK_ROWS", 100), \
+            mock.patch.object(simulate, "ProcessPoolExecutor", CountingPool):
+        write_increments_csv(stream, path)
+    assert len(in_flight) == len(submitted) == 20
+    assert max(in_flight) == 4
+    assert stream.getvalue() == increments_csv_text(path)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_daemon_process_formats_its_blocks_itself():
+    # a multiprocessing.Pool worker is a daemon, which may not start children
+    # ("daemonic processes are not allowed to have children"): there the
+    # writer formats every block in its own process, to the same bytes
+    path = simulate_path(DIFF, JUMPS, 2000, 4)
+    with _writer_processes(2, 100), mock.patch.object(simulate, "_WRITE_CHUNK_ROWS", 100):
+        outer = multiprocessing.get_context("fork").Pool(1)
+        try:
+            text = outer.apply(increments_csv_text, (path,))
+        finally:
+            outer.close()
+            outer.join()
+    assert text == increments_csv_text(path)
+    assert multiprocessing.active_children() == []
+
+
+def _die(task):
+    os._exit(1)
+
+
+def test_a_writer_process_that_dies_exits_3_named(capsys):
+    # a worker killed (say by the out-of-memory killer) breaks the pool; the
+    # command exits 3 as for memory it cannot get, and no process is left
+    with _writer_processes(2, 100), mock.patch.object(simulate, "_WRITE_CHUNK_ROWS", 100), \
+            mock.patch.object(simulate, "_csv_block", _die):
+        code = main(["simulate", "--n", "2000", "--seed", "4", "--out", "-"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "jumpvol: worker process died: A process in the process pool was terminated abruptly"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_a_write_that_fails_partway_leaves_no_process(monkeypatch, capsys):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            if self.tell() > 5000:
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    stream = FullDisk()
+    monkeypatch.setattr("sys.stdout", stream)
+    with mock.patch.object(simulate, "_WRITE_CHUNK_ROWS", 100), _writer_processes(2, 100):
+        code = main(["simulate", "--n", "20000", "--seed", "4", "--out", "-"])
+    assert code == 3
+    assert capsys.readouterr().err == "jumpvol: I/O error: [Errno 28] No space left on device\n"
+    assert multiprocessing.active_children() == []
+    assert 5000 < stream.tell() < 10000
 
 
 # ---------------------------------------------------------------------------

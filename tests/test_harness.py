@@ -166,11 +166,10 @@ def test_coverage_refuses_counts_that_are_not_integers():
     with pytest.raises(ConfigurationError, match="^n_grid entry 40.9 is not an integer$"):
         CoverageConfig(diffusion=DIFF, n_grid=(40.9,))
     for reps in (2.5, True):
-        config = CoverageConfig(
-            diffusion=DIFF, lambda_grid=(4.0,), tau_grid=(2.0,), n_grid=(300,), reps=reps
-        )
         with pytest.raises(ConfigurationError, match=f"^reps {reps} is not an integer$"):
-            run_coverage(config)
+            CoverageConfig(
+                diffusion=DIFF, lambda_grid=(4.0,), tau_grid=(2.0,), n_grid=(300,), reps=reps
+            )
 
 
 def test_single_replication_cell():

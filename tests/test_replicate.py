@@ -3,6 +3,7 @@ pinned bit for bit to plain per-replication loops written out here."""
 
 import io
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from jumpvol import (
     tv_distance,
     write_coverage_csv,
 )
-from jumpvol import harness
+from jumpvol import simulate
 from jumpvol.harness import replicate
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
@@ -75,19 +76,49 @@ def test_replicate_caps_the_pool_at_the_task_count(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, task):
+            done = Future()
+            done.set_result(fn(task))
+            return done
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            pass
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
     results = replicate(_seeds_of, ["a", "b"], 3, 5, workers=10**6)
     assert sizes == [2]
     assert results == replicate(_seeds_of, ["a", "b"], 3, 5)
+
+
+@pytest.mark.parametrize("workers", ["2", None, True, 1.5])
+def test_a_worker_count_that_is_not_an_integer_is_refused_named(workers):
+    # "2" and None once ended in a bare TypeError from the < 1 comparison;
+    # True and 1.5 ran one worker
+    config = CoverageConfig(
+        diffusion=DIFF, lambda_grid=(4.0,), tau_grid=(2.0,), n_grid=(300,), reps=3
+    )
+    with pytest.raises(ConfigurationError, match=f"^workers {workers!r} is not an integer$"):
+        run_coverage(config, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        lambda reps: CoverageConfig(diffusion=DIFF, reps=reps),
+        lambda reps: bvm_convergence_check(DIFF, JUMPS, (40, 80), reps, 0),
+        lambda reps: mse_oracle(DIFF, JumpRealization(np.array([]), np.array([])), 100, reps, 0),
+        lambda reps: qv_error_rate(DIFF, JUMPS, (20, 60, 200), reps, 0),
+    ],
+    ids=["coverage", "bvm", "mse", "qvrate"],
+)
+@pytest.mark.parametrize("reps", ["5", None, True], ids=repr)
+def test_a_replication_count_that_is_not_an_integer_is_refused_before_its_floor(
+    experiment, reps
+):
+    # each experiment compares reps with its floor before replicate() sees it:
+    # "5" and None ended in a bare TypeError there, and True passed as 1
+    with pytest.raises(ConfigurationError, match=f"^reps {reps!r} is not an integer$"):
+        experiment(reps)
 
 
 # ---------------------------------------------------------------------------
