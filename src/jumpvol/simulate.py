@@ -573,6 +573,12 @@ _WRITE_CHUNK_ROWS = 8192
 #: Rows each writer process must have to pay for its start: two processes
 #: broke even near 32768 rows and were ahead from 65536 on a 2-CPU host.
 _ROWS_PER_WORKER = 32768
+#: Bytes of body each reader task parses, cut just after a line end.
+_READ_BLOCK_BYTES = 2 << 20
+#: Bytes of body each reader process must have to pay for its start: 49152
+#: rows as the writer formats them (41-45 bytes a row).  Two processes broke
+#: even near 65536 rows and were ahead from 98304 on a 2-CPU host.
+_READ_BYTES_PER_WORKER = 45 * 49152
 #: A ``t_i`` column must lie on ``i * t_n / n`` within this fraction of a step.
 _GRID_RTOL = 1e-6
 #: Rows per ``np.loadtxt`` call while the error path looks for the bad row.
@@ -643,21 +649,35 @@ def read_increments_csv(file) -> IncrementData:
     the ``mu_i`` column when present.  A headerless file must be a single
     column of raw increments.  Every cell must be a number (``nan`` and ``inf``
     parse; the inference rejects them later).  Header names must be distinct.
-    An ``index`` column must read 1..n, and ``t_i`` must lie on the equally
-    spaced grid ``i * t_n / n`` within ``1e-6`` of a step.  Empty lines are
+    An ``index`` column must read 1..n, the last ``t_i`` must be positive and
+    finite, and ``t_i`` must lie on the equally spaced grid ``i * t_n / n``
+    within ``1e-6`` of a step.  Empty lines, and a UTF-8 byte-order mark, are
     skipped.  A violation raises :class:`ConfigurationError` naming the first
     bad 1-based data row.
+
+    A path's body is parsed in blocks of about ``_READ_BLOCK_BYTES``, in a
+    process pool of one process a ``_READ_BYTES_PER_WORKER`` bytes up to the
+    usable CPUs; a stream is parsed whole in this process.  The result does
+    not depend on the block size or the CPU count.
     """
     with _opened(file, "r") as handle:
         try:
-            # the error path rereads the body, so a stream that cannot seek
-            # is buffered first
-            return _read_increments(handle if handle.seekable() else io.StringIO(handle.read()))
+            if not handle.seekable():
+                # the error path rereads the body, so a stream that cannot
+                # seek (or a path to one, such as a pipe) is buffered first
+                return _read_increments(io.StringIO(handle.read()), None)
+            return _read_increments(handle, file if isinstance(file, (str, Path)) else None)
         except UnicodeDecodeError as err:
             raise ConfigurationError(f"increments file cannot be decoded as text: {err}") from err
 
 
-def _read_increments(handle) -> IncrementData:
+def _read_increments(handle, path) -> IncrementData:
+    """The read of a seekable text ``handle``, opened on ``path`` if that is a
+    file that workers may open again, else None."""
+    if path is None:  # a stream, read past a byte-order mark as a path is
+        mark = handle.tell()
+        if handle.read(1) != "\ufeff":
+            handle.seek(mark)
     start, first = _next_row(handle)
     if not first:
         raise ConfigurationError("empty increments file")
@@ -679,21 +699,134 @@ def _read_increments(handle) -> IncrementData:
         body, row = _next_row(handle)
         if not row:
             raise ConfigurationError("increments file has a header but no rows")
-    handle.seek(body)
-    try:
-        table = _load(handle)
-    except ValueError:
-        table = None
-    if table is None or table.shape[1] != len(names):
+    chained = None
+    if path is not None and body < 1 << 64:
+        # a text file's position is a plain byte offset where its decoder
+        # holds no state, as at the end of a line ended by "\n"
+        ranges = _byte_ranges(path, body)
+        if ranges:  # none if the file shrank since its header was read
+            tasks = [(names, path, lo, hi) for lo, hi in ranges]
+            size = ranges[-1][1] - ranges[0][0]
+            workers = max(1, min(_usable_cpus(), size // _READ_BYTES_PER_WORKER))
+            with _ordered_map(_parse_block, tasks, workers) as blocks:
+                chained = _chain(blocks, names)
+    if chained is None:
+        # a stream, or a block that holds a quote (a quoted cell may span a
+        # line end) or does not parse: the whole body is read as one block
         handle.seek(body)
-        raise _bad_row_error(handle.readlines(), names)
-    cols = {name: i for i, name in enumerate(names)}
-    _check_grid(table, cols)
+        try:
+            table = _load(handle)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != len(names):
+            handle.seek(body)
+            raise _bad_row_error(handle.readlines(), names)
+        chained = _chain([_block_columns(table, names)], names)
+    columns, index_fault = chained
+    times = columns.get("t_i")
+    faults = [fault for fault in (index_fault, _grid_fault(times)) if fault]
+    if faults:
+        row, reason = min(faults)
+        raise ConfigurationError(f"increments file row {row + 1}: {reason}")
     return IncrementData(
-        increments=np.ascontiguousarray(table[:, cols["D_i"]]),
-        horizon=float(table[-1, cols["t_i"]]) if "t_i" in cols else None,
-        mu=np.ascontiguousarray(table[:, cols["mu_i"]]) if "mu_i" in cols else None,
+        increments=columns["D_i"],
+        horizon=None if times is None else float(times[-1]),
+        mu=columns.get("mu_i"),
     )
+
+
+def _byte_ranges(path, body: int) -> list[tuple[int, int]]:
+    """The file from byte ``body`` on, past a byte-order mark, cut into ranges
+    of about ``_READ_BLOCK_BYTES`` that each end just after a ``\n`` (or at
+    the end of the file)."""
+    with open(path, "rb") as raw:
+        # a headerless body starts at position 0, before the mark
+        cuts = [max(body, 3) if raw.read(3) == b"\xef\xbb\xbf" else body]
+        size = raw.seek(0, os.SEEK_END)
+        while cuts[-1] < size:
+            raw.seek(cuts[-1] + _READ_BLOCK_BYTES - 1)
+            raw.readline()
+            cuts.append(min(raw.tell(), size))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _parse_block(task):
+    """:func:`_block_columns` of the bytes ``lo`` to ``hi`` of a file, read as
+    the file is opened (UTF-8, universal newlines), or None if they hold a
+    quote or are not rows of ``len(names)`` numbers.  ``task`` is ``(names,
+    path, lo, hi)``."""
+    names, path, lo, hi = task
+    with open(path, "rb") as raw:
+        raw.seek(lo)
+        data = raw.read(hi - lo)
+    if b'"' in data:
+        return None
+    if not data.strip(b"\r\n"):  # only empty lines, where loadtxt would warn
+        return _block_columns(np.empty((0, len(names))), names)
+    try:
+        table = _load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return _block_columns(table, names) if table.shape[1] == len(names) else None
+
+
+def _block_columns(table: np.ndarray, names: list) -> tuple[dict, tuple]:
+    """The columns of a parsed block that the read keeps, by name, and its
+    index run: the first index, and the position and value of the first
+    index that does not follow on from it (None for each that is missing)."""
+    columns = {name: np.ascontiguousarray(table[:, j])
+               for j, name in enumerate(names) if name != "index"}
+    first = gap = None
+    if "index" in names and len(table):
+        index = table[:, names.index("index")]
+        first = float(index[0])
+        hits = np.flatnonzero(index != index[0] + np.arange(len(index)))
+        gap = (int(hits[0]), float(index[hits[0]])) if hits.size else None
+    return columns, (first, gap)
+
+
+def _chain(blocks, names: list) -> tuple[dict, tuple | None] | None:
+    """The parsed blocks chained in order: each kept column joined, and the
+    first row whose index is not its row number, as ``(row, reason)`` with a
+    0-based row; None at the first block that did not parse."""
+    parts = {name: [] for name in names if name != "index"}
+    fault, n = None, 0
+    for block in blocks:
+        if block is None:
+            return None
+        columns, (first, gap) = block
+        rows = len(columns["D_i"])
+        if not rows:
+            continue
+        if fault is None and first is not None:
+            if first != n + 1:
+                fault = (n, f"index is {first!r}, expected {n + 1}")
+            elif gap:
+                fault = (n + gap[0], f"index is {gap[1]!r}, expected {n + gap[0] + 1}")
+        for name, column in columns.items():
+            parts[name].append(column)
+        n += rows
+    return {name: np.concatenate(part) for name, part in parts.items()}, fault
+
+
+def _grid_fault(times: np.ndarray | None) -> tuple | None:
+    """The first row whose ``t_i`` is off the equally spaced grid ``i * t_n /
+    n``, as ``(row, reason)`` with a 0-based row; the last row if ``t_n`` is
+    not a positive, finite horizon."""
+    if times is None:
+        return None
+    n, t_n = len(times), float(times[-1])
+    if not (np.isfinite(t_n) and t_n > 0):
+        return n - 1, f"t_i is {t_n!r}, but the last t_i, the horizon, must be positive and finite"
+    step = t_n / n
+    grid = np.arange(1, n + 1) * step
+    with np.errstate(invalid="ignore"):
+        hits = np.flatnonzero(~(np.abs(times - grid) <= _GRID_RTOL * step))
+    if not hits.size:
+        return None
+    i = hits[0]
+    return i, (f"t_i is {float(times[i])!r}, off the equally spaced grid "
+               f"i * t_n / n = {float(grid[i])!r}")
 
 
 def _next_row(handle) -> tuple[int, str]:
@@ -742,30 +875,3 @@ def _bad_row_error(lines: list[str], names: list[str]) -> ConfigurationError:
                    in enumerate(zip(names, cells)) if not _parses([line], 1, usecols=j))
             return ConfigurationError(f"{where}: {next(bad, f'cannot parse {line!r}')}")
     return ConfigurationError("increments file does not parse as rows of numbers")
-
-
-def _check_grid(table: np.ndarray, cols: dict) -> None:
-    """Reject an ``index`` column that is not 1..n and a ``t_i`` column off
-    the equally spaced grid ``i * t_n / n``, naming the first bad row."""
-    n = len(table)
-    rows = np.arange(1, n + 1)
-    bad = []
-    if "index" in cols:
-        index = table[:, cols["index"]]
-        hits = np.flatnonzero(index != rows)
-        if hits.size:
-            i = hits[0]
-            bad.append((i, f"index is {float(index[i])!r}, expected {i + 1}"))
-    if "t_i" in cols:
-        times = table[:, cols["t_i"]]
-        step = times[-1] / n
-        grid = rows * step
-        with np.errstate(invalid="ignore"):
-            hits = np.flatnonzero(~(np.abs(times - grid) <= _GRID_RTOL * step))
-        if hits.size:
-            i = hits[0]
-            bad.append((i, f"t_i is {float(times[i])!r}, off the equally spaced grid "
-                           f"i * t_n / n = {float(grid[i])!r}"))
-    if bad:
-        i, reason = min(bad)
-        raise ConfigurationError(f"increments file row {i + 1}: {reason}")

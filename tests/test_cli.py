@@ -643,7 +643,7 @@ def test_infer_headerless_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
-def test_infer_reads_a_utf8_bom_and_crlf_as_the_plain_file(tmp_path, capsys, header):
+def test_infer_reads_a_utf8_bom_and_crlf_as_the_plain_file(tmp_path, capsys, monkeypatch, header):
     # spreadsheets save "CSV UTF-8" with a byte-order mark and CRLF line ends;
     # the mark once reached the header as an unknown column '\ufeffindex'
     plain = tmp_path / "plain.csv"
@@ -654,12 +654,15 @@ def test_infer_reads_a_utf8_bom_and_crlf_as_the_plain_file(tmp_path, capsys, hea
         plain.write_text(text)
     exported = tmp_path / "exported.csv"
     exported.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    # the export on stdin as a shell redirect gives it: UTF-8, line ends as they are
+    stdin = io.TextIOWrapper(io.BytesIO(exported.read_bytes()), "utf-8", newline="\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
     records = []
-    for source in (plain, exported):
+    for source in (plain, exported, "-"):
         code, out, err = run_cli(["infer", "--input", str(source), "--out", "-"], capsys)
         assert (code, err) == (0, "")
         records.append(out)
-    assert records[0] == records[1]
+    assert records[0] == records[1] == records[2]
 
 
 def test_infer_infinite_fixed_threshold_gives_plain_bayes(tmp_path, capsys):
@@ -777,7 +780,10 @@ def test_infer_non_finite_increment_names_row(tmp_path, capsys):
         (["1,0.1,0.1", "2,0.7,-0.3", "3,0.8,0.2", "5,0.9,0.1", "6,1.0,0.4"], "row 1: t_i"),
         (["1,0.2,0.1", "2,0.4,-0.3", "3,0.6,0.2", "5,0.8,0.1", "6,1.0,0.4"], "row 4: index"),
         (["1,0.2,0.1", "2,0.4,-0.3", "3,0.6000003,0.2", "4,0.8,0.1", "5,1.0,0.4"], "row 3: t_i"),
-        (["1,0.2,0.1", "2,0.4,-0.3", "3,0.6,0.2", "4,0.8,0.1", "5,nan,0.4"], "row 1: t_i"),
+        # a last t_i that is no horizon is named, not the first row's grid point
+        (["1,0.2,0.1", "2,0.4,-0.3", "3,0.6,0.2", "4,0.8,0.1", "5,nan,0.4"], "row 5: t_i is nan"),
+        (["1,-0.5,0.1", "2,-1.0,-0.3", "3,-1.5,0.2", "4,-2.0,0.1", "5,-2.5,0.4"],
+         "row 5: t_i is -2.5, but the last t_i, the horizon, must be positive and finite"),
     ],
 )
 def test_infer_malformed_csv_names_row(rows, message, tmp_path, capsys):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
@@ -276,6 +277,184 @@ def test_a_write_that_fails_partway_leaves_no_process(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# The pooled reader
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _reader_processes(cpus, block_bytes, bytes_per_worker=1):
+    """The reader on ``cpus`` usable CPUs, in blocks of about ``block_bytes``,
+    a process for each ``bytes_per_worker`` bytes of body."""
+    with mock.patch.object(simulate, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(simulate, "_READ_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(simulate, "_READ_BYTES_PER_WORKER", bytes_per_worker):
+        yield
+
+
+def _read(source):
+    """What :func:`read_increments_csv` makes of ``source``: the bits of its
+    arrays and the horizon, or the message that refuses it."""
+    try:
+        data = read_increments_csv(source)
+    except ConfigurationError as err:
+        return str(err)
+    return (data.increments.tobytes(), data.horizon,
+            None if data.mu is None else data.mu.tobytes())
+
+
+def _one_process_read(source):
+    with mock.patch.object(simulate, "_usable_cpus", lambda: 1):
+        return _read(source)
+
+
+def _rows(names, n=8, **cells):
+    """``n`` well-formed rows of ``names``; ``cells`` replaces a row's cell,
+    keyed ``<name><row>`` with a 1-based row."""
+    rows = []
+    for i in range(1, n + 1):
+        row = {"index": str(i), "t_i": repr(i * 0.125), "D_i": repr(0.5 - i / 16), "mu_i": "0.0"}
+        row.update({name: cells[f"{name}{i}"] for name in names if f"{name}{i}" in cells})
+        rows.append(",".join(row[name] for name in names))
+    return rows
+
+
+_FULL = ["index", "t_i", "D_i"]
+
+# (header, body lines, text that closes the first block, refusal or None):
+# the first block ends right after that text, so a fault in row 5 is the
+# first row of the second block
+_BOUNDARY_CASES = {
+    "index gap": (_FULL, _rows(_FULL, index5="6", index6="7"), "0.25\n",
+                  "increments file row 5: index is 6.0, expected 5"),
+    "skewed t_i": (_FULL, _rows(_FULL, t_i5="0.626"), "0.25\n",
+                   "increments file row 5: t_i is 0.626, off the equally spaced grid "
+                   "i * t_n / n = 0.625"),
+    "ragged row": (_FULL, _rows(_FULL, D_i5="0.1,7"), "0.25\n",
+                   "increments file row 5 has 4 cells, expected 3 (index,t_i,D_i)"),
+    "bad token": (_FULL, _rows(_FULL, D_i5="abc"), "0.25\n",
+                  "increments file row 5: D_i is not a number: 'abc'"),
+    # loadtxt lets a quoted cell span a line end, so the body is read whole
+    "quoted cell across the cut": (_FULL, _rows(_FULL, D_i4='"0.25\n"'), '"0.25\n', None),
+    "empty lines longer than a block": (
+        _FULL, _rows(_FULL)[:4] + [""] * 200 + _rows(_FULL)[4:], "0.25\n", None),
+    "headerless column": (None, [repr(i / 16) for i in range(1, 9)], "0.25\n", None),
+    "mu_i column": (_FULL + ["mu_i"], _rows(_FULL + ["mu_i"], mu_i5="0.75"), "0.0\n", None),
+}
+
+
+@pytest.mark.parametrize("crlf_bom", [False, True], ids=["lf", "bom-crlf"])
+@pytest.mark.parametrize("case", list(_BOUNDARY_CASES))
+def test_a_pooled_read_at_a_block_boundary_answers_as_one_process(tmp_path, case, crlf_bom):
+    header, lines, closing, refusal = _BOUNDARY_CASES[case]
+    eol = "\r\n" if crlf_bom else "\n"
+    head = ("\ufeff" if crlf_bom else "") + (",".join(header) + eol if header else "")
+    text = head + "".join(line + "\n" for line in lines).replace("\n", eol)
+    data, body, closing = text.encode(), len(head.encode()), closing.replace("\n", eol).encode()
+    first_block = data.index(closing, body) + len(closing) - body
+    source = tmp_path / "increments.csv"
+    source.write_bytes(data)
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _reader_processes(2, first_block), mock.patch.object(simulate, "ProcessPoolExecutor", pool):
+        pooled = _read(source)
+    assert pool.call_args == mock.call(max_workers=2)
+    assert multiprocessing.active_children() == []
+    assert pooled == _one_process_read(source)
+    if refusal is None:
+        assert not isinstance(pooled, str)
+        plain = text.removeprefix("\ufeff").replace("\r\n", "\n")
+        assert pooled == _one_process_read(io.StringIO(plain))
+    else:
+        assert pooled == refusal
+
+
+@pytest.mark.parametrize("share, workers", [(1, None), (2, 2), (3, 3), (10, 3)])
+def test_a_reader_process_starts_for_each_bytes_per_worker_up_to_the_cpus(
+    tmp_path, share, workers
+):
+    # a process for each _READ_BYTES_PER_WORKER bytes of body, so a body of
+    # fewer than two of them is parsed in this process however many blocks
+    # it has
+    source = tmp_path / "increments.csv"
+    write_increments_csv(source, simulate_path(DIFF, JUMPS, 300, 4), with_truth=True)
+    body = source.stat().st_size - len("index,t_i,D_i,mu_i\n")
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _reader_processes(3, 500, body // share), \
+            mock.patch.object(simulate, "ProcessPoolExecutor", pool):
+        pooled = _read(source)
+    assert pool.call_args == (None if workers is None else mock.call(max_workers=workers))
+    assert multiprocessing.active_children() == []
+    assert pooled == _one_process_read(source)
+
+
+def test_a_stream_is_never_pooled(tmp_path):
+    # nor is a path to a pipe, which a worker could not open again
+    class Pipe(io.StringIO):
+        def seekable(self):
+            return False
+
+    source = tmp_path / "increments.csv"
+    write_increments_csv(source, simulate_path(DIFF, JUMPS, 300, 4))
+    text = source.read_text()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _reader_processes(2, 100), mock.patch.object(simulate, "ProcessPoolExecutor", pool):
+        streams = [_read(io.StringIO(text)), _read(Pipe(text)), _read(fifo)]
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert pool.call_args is None
+    assert streams == [_one_process_read(source)] * 3
+
+
+def test_a_file_with_cr_line_ends_reads_as_with_lf(tmp_path):
+    # a position past a lone "\r" is no byte offset, so such a body is read
+    # whole through the open file, in this process
+    source = tmp_path / "increments.csv"
+    write_increments_csv(source, simulate_path(DIFF, JUMPS, 300, 4), with_truth=True)
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes(source.read_bytes().replace(b"\n", b"\r"))
+    with _reader_processes(2, 100):
+        assert _read(cr) == _one_process_read(source)
+
+
+def test_a_file_that_shrinks_after_its_header_is_read_whole(tmp_path):
+    # a file cut short (or one whose end seek reports less than was read)
+    # has no byte ranges, and its body is read through the open file
+    source = tmp_path / "increments.csv"
+    write_increments_csv(source, simulate_path(DIFF, JUMPS, 300, 4), with_truth=True)
+    with _reader_processes(2, 100), mock.patch.object(simulate, "_byte_ranges", lambda *_: []):
+        assert _read(source) == _one_process_read(source)
+
+
+def test_a_daemon_process_reads_its_blocks_itself(tmp_path):
+    # a multiprocessing.Pool worker is a daemon, which may not start children
+    source = tmp_path / "increments.csv"
+    write_increments_csv(source, simulate_path(DIFF, JUMPS, 2000, 4), with_truth=True)
+    with _reader_processes(2, 4096):
+        outer = multiprocessing.get_context("fork").Pool(1)
+        try:
+            data = outer.apply(_read, (str(source),))
+        finally:
+            outer.close()
+            outer.join()
+    assert data == _one_process_read(source)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_reader_process_that_dies_exits_3_named(tmp_path, capsys):
+    source = tmp_path / "increments.csv"
+    write_increments_csv(source, simulate_path(DIFF, JUMPS, 2000, 4))
+    with _reader_processes(2, 4096), mock.patch.object(simulate, "_parse_block", _die):
+        code = main(["infer", "--input", str(source), "--out", "-"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "jumpvol: worker process died: A process in the process pool was terminated abruptly"
+    )
+    assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
 # Properties over generated paths and bodies
 # ---------------------------------------------------------------------------
 
@@ -364,3 +543,25 @@ def test_infer_on_malformed_bodies_exits_cleanly(body, tmp_path_factory):
         code = main(["infer", "--input", str(source), "--out", str(work / "out.json")])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+def _infer(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)  # each example starts a pool
+@given(body=_bodies(), block_bytes=st.integers(1, 64))
+def test_a_pooled_read_of_a_body_answers_as_one_process(body, block_bytes, tmp_path_factory):
+    # two processes over blocks of a few rows: the same exit code, record and
+    # message as the whole body read in this process
+    source = tmp_path_factory.mktemp("bodies") / "increments.csv"
+    source.write_text(body)
+    args = ["infer", "--input", str(source), "--out", "-"]
+    with _reader_processes(2, block_bytes):
+        pooled = _infer(args)
+    assert multiprocessing.active_children() == []
+    with mock.patch.object(simulate, "_usable_cpus", lambda: 1):
+        assert pooled == _infer(args)
