@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -311,6 +312,18 @@ def _check_out(out: str):
     return out
 
 
+def _stdin():
+    """A context manager giving stdin as a path is read: UTF-8 past a
+    byte-order mark, with universal newlines.  ``sys.stdin`` splits lines
+    at ``\n`` only, so a file with lone ``\r`` line ends came as one line.
+    A stand-in stream with no file descriptor is given as it is."""
+    try:
+        fd = sys.stdin.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return nullcontext(sys.stdin)
+    return open(fd, encoding="utf-8-sig", closefd=False)
+
+
 def _write_text(out, text: str) -> None:
     with _opened(out, "w") as handle:
         handle.write(text)
@@ -365,7 +378,11 @@ def cmd_infer(args) -> int:
     elif cfg.density_out is not None:
         raise ConfigurationError("density_out is set but density_grid is not; set both or neither")
 
-    data = read_increments_csv(sys.stdin if cfg.input == "-" else cfg.input)
+    if cfg.input == "-":
+        with _stdin() as stdin:
+            data = read_increments_csv(stdin)
+    else:
+        data = read_increments_csv(cfg.input)
     horizon = cfg.horizon
     if horizon is None:
         horizon = data.horizon if data.horizon is not None else 1.0

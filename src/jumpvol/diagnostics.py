@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, JumpvolError, NumericError
 from .harness import (
+    _BLOCK,
     CoverageConfig,
     _chunks,
     _inferred_chunks,
@@ -56,6 +57,7 @@ from .simulate import (
     _check_increments,
     _integer,
     _path_rows,
+    _pool_size,
     _streams,
     bin_jumps,
 )
@@ -90,6 +92,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: sd.  The mass check first fails near 1e-12, where the nodes round onto a
 #: few floats.
 _LIMIT_RESOLUTION = math.sqrt(np.finfo(float).eps)
+
+#: Work each process of a diagnostic's pool must have to pay for its start,
+#: in replications for ``diag bvm`` and in simulated increments for ``mse``
+#: and ``qvrate``.  Each is where two processes broke even with one on a
+#: 2-CPU host: ``diag bvm`` at n (40, 80) and 50 reps a cell, ``mse`` at
+#: n 2000 and 1000 reps, ``qvrate`` at n (200, 1000, 4000) and 200 reps.
+_BVM_REPS_PER_WORKER = 100
+_MSE_INCREMENTS_PER_WORKER = 2**21
+_QV_INCREMENTS_PER_WORKER = 2**20
 
 
 @dataclass(frozen=True)
@@ -404,6 +415,15 @@ class BvmRow:
     tv_modified_stderr: float
 
 
+def _replicate_per_seed(stat, cells, reps: int, seed: int, work: int, per_process: int):
+    """:func:`replicate` of a ``stat`` that gives one result per seed, on
+    ``_pool_size(work, per_process)`` processes.  Each cell is cut into one
+    block a process, of at most ``_BLOCK`` reps, so that every process takes
+    an even share of each cell.  The results depend on neither."""
+    workers = _pool_size(work, per_process)
+    return replicate(stat, cells, reps, seed, workers, min(_BLOCK, -(-reps // workers)))
+
+
 def _bvm_distances(diff, jumps, prior, rule, n, seeds) -> list[tuple[float, float]]:
     """TV distances of the tempered and shifted posteriors to their limits,
     one pair per seed.  The paths are simulated and inferred in the row
@@ -463,7 +483,14 @@ def bvm_convergence_check(
     prior: InverseGammaParams = CoverageConfig.prior,
     threshold: ThresholdRule = CoverageConfig.threshold,
 ) -> list[BvmRow]:
-    """Mean TV distance to the normal limits along an increasing n grid."""
+    """Mean TV distance to the normal limits along an increasing n grid.
+
+    Runs on a pool of one process for each ``_BVM_REPS_PER_WORKER``
+    replications over the grid, up to the usable CPUs, so on two CPUs even
+    the floor of 100 reps at two sample sizes is pooled; a daemon process,
+    or one CPU, runs them in this process.  The rows do not depend on the
+    process count.
+    """
     grid = _sample_sizes(n_grid)
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("n_grid must be strictly increasing with >= 2 entries")
@@ -471,8 +498,9 @@ def bvm_convergence_check(
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
     stat = partial(_bvm_distances, diff, jumps, prior, threshold)
+    results = _replicate_per_seed(stat, grid, reps, seed, reps * len(grid), _BVM_REPS_PER_WORKER)
     rows = []
-    for n, distances in zip(grid, replicate(stat, grid, reps, seed)):
+    for n, distances in zip(grid, results):
         tempered, modified = (_mean_and_stderr(np.array(tv)) for tv in zip(*distances))
         rows.append(BvmRow(n, reps, *tempered, *modified))
     return rows
@@ -557,7 +585,13 @@ def mse_oracle(
     seed: int,
 ) -> MseOracleResult:
     """Redraw the diffusion part ``reps`` times against one frozen jump path
-    and measure how ``theta_hat`` scatters around ``theta_dagger``."""
+    and measure how ``theta_hat`` scatters around ``theta_dagger``.
+
+    Runs on a pool of one process for each ``_MSE_INCREMENTS_PER_WORKER``
+    simulated increments (``reps * n``), up to the usable CPUs; a daemon
+    process, or one CPU, runs them in this process.  The result does not
+    depend on the process count.
+    """
     n = _integer(n, "n")
     reps = _integer(reps, "reps")
     if reps < 1000:
@@ -569,7 +603,8 @@ def mse_oracle(
         2.0 * diff.theta_star * truth.theta_dagger / n, "the product form", truth
     )
     sandwich = sandwich_variance(truth, n)
-    (estimates,) = replicate(partial(_mles_given_jumps, diff, fixed_jumps), [n], reps, seed)
+    stat = partial(_mles_given_jumps, diff, fixed_jumps)
+    (estimates,) = _replicate_per_seed(stat, [n], reps, seed, reps * n, _MSE_INCREMENTS_PER_WORKER)
     estimates = np.array(estimates)
     with np.errstate(over="ignore"):  # an overflow is refused below
         errors = (estimates - truth.theta_dagger) ** 2
@@ -641,6 +676,11 @@ def qv_error_rate(
     the simulator's truth is estimated over ``reps`` replications, and the
     least-squares slope of log MAE on log n is returned.  If any MAE is zero
     (e.g. no jumps at all) the slope is NaN.
+
+    Runs on a pool of one process for each ``_QV_INCREMENTS_PER_WORKER``
+    simulated increments (``reps`` times the sum of the grid), up to the
+    usable CPUs; a daemon process, or one CPU, runs them in this process.
+    The result does not depend on the process count.
     """
     grid = sorted(set(_sample_sizes(n_grid)))
     if len(grid) < 3:
@@ -650,7 +690,9 @@ def qv_error_rate(
     reps = _integer(reps, "reps")
     if reps < 200:
         raise ConfigurationError(f"need at least 200 replications, got {reps}")
-    results = replicate(partial(_qv_errors, diff, jumps, threshold), grid, reps, seed)
+    stat = partial(_qv_errors, diff, jumps, threshold)
+    work = reps * sum(grid)
+    results = _replicate_per_seed(stat, grid, reps, seed, work, _QV_INCREMENTS_PER_WORKER)
     mae, stderr = zip(*(_mean_and_stderr(np.array(errors)) for errors in results))
     if min(mae) <= 0.0:
         slope = math.nan

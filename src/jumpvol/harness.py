@@ -43,7 +43,8 @@ from .threshold import ThresholdRule
 
 COVERAGE_CSV_HEADER = "lambda,tau,n,reps,coverage,mean_width,mc_stderr,degenerate_count"
 
-#: Replications per task of :func:`replicate`.
+#: Replications per task of :func:`replicate` unless its caller asks for
+#: fewer: the bits of coverage's ``mean_width`` depend on it.
 _BLOCK = 256
 #: Increments per chunk of rows that the experiments simulate and infer as
 #: one array: a chunk that stays in cache is what makes the array pass pay.
@@ -136,19 +137,22 @@ def _sample_sizes(n_grid) -> list[int]:
     return [_integer(n, "n_grid entry") for n in n_grid]
 
 
-def replicate(stat, cells, reps: int, base_seed: int, workers: int = 1) -> list[list]:
+def replicate(
+    stat, cells, reps: int, base_seed: int, workers: int = 1, block: int = _BLOCK
+) -> list[list]:
     """The results of the replications ``rep < reps`` of each cell, one list
     per cell in rep order.  ``stat(cells[index], seeds)`` gives one result per
     seed of a block, ``derive_seed(base_seed, index, rep)`` for its reps, or
-    one for the whole block.  Blocks of ``_BLOCK`` replications run in turn
+    one for the whole block.  Blocks of ``block`` replications run in turn
     or, for ``workers > 1``, in a process pool, for which ``stat`` and the
-    cells must pickle; the results do not depend on the worker count."""
+    cells must pickle; the results do not depend on the worker count, nor on
+    ``block`` where ``stat`` gives one result per seed."""
     reps = _integer(reps, "reps")
-    blocks = [range(start, min(start + _BLOCK, reps)) for start in range(0, reps, _BLOCK)]
+    blocks = [range(start, min(start + block, reps)) for start in range(0, reps, block)]
     tasks = [
-        (stat, cell, index, base_seed, block)
+        (stat, cell, index, base_seed, span)
         for index, cell in enumerate(cells)
-        for block in blocks
+        for span in blocks
     ]
     with _ordered_map(_run_block, tasks, workers) as results:
         return [list(chain.from_iterable(islice(results, len(blocks)))) for _ in cells]

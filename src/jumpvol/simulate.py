@@ -528,6 +528,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_size(work: int, per_process: int) -> int:
+    """How many processes ``work`` units pay for: one for each
+    ``per_process`` units, up to the usable CPUs, and at least one.  The one
+    rule by which the package sizes a pool that no caller asked for; the
+    result of such a call does not depend on it."""
+    return max(1, min(_usable_cpus(), work // per_process))
+
+
 @contextmanager
 def _ordered_map(fn, tasks: list, workers: int):
     """An iterator over ``fn(task)`` for each of ``tasks``, in task order: the
@@ -628,8 +636,7 @@ def write_increments_csv(file, path: SamplePath, with_truth: bool = False) -> No
     ]
     with _opened(file, "w") as handle:
         handle.write("index,t_i,D_i,mu_i\n" if with_truth else "index,t_i,D_i\n")
-        workers = max(1, min(_usable_cpus(), path.n // _ROWS_PER_WORKER))
-        with _ordered_map(_csv_block, tasks, workers) as blocks:
+        with _ordered_map(_csv_block, tasks, _pool_size(path.n, _ROWS_PER_WORKER)) as blocks:
             handle.writelines(blocks)
 
 
@@ -707,7 +714,7 @@ def _read_increments(handle, path) -> IncrementData:
         if ranges:  # none if the file shrank since its header was read
             tasks = [(names, path, lo, hi) for lo, hi in ranges]
             size = ranges[-1][1] - ranges[0][0]
-            workers = max(1, min(_usable_cpus(), size // _READ_BYTES_PER_WORKER))
+            workers = _pool_size(size, _READ_BYTES_PER_WORKER)
             with _ordered_map(_parse_block, tasks, workers) as blocks:
                 chained = _chain(blocks, names)
     if chained is None:

@@ -1,9 +1,16 @@
 """The shared replication loop, and the four Monte Carlo experiments on it
 pinned bit for bit to plain per-replication loops written out here."""
 
+import contextlib
 import io
+import json
 import math
-from concurrent.futures import Future
+import multiprocessing
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,8 +47,9 @@ from jumpvol import (
     tv_distance,
     write_coverage_csv,
 )
-from jumpvol import simulate
-from jumpvol.harness import replicate
+from jumpvol import diagnostics, harness, simulate
+from jumpvol.cli import main
+from jumpvol.harness import _run_block, replicate
 
 DIFF = DiffusionSpec(beta=1.0, theta_star=10.0, horizon=1.0)
 JUMPS = JumpSpec.two_point(5.0, 3.0)
@@ -53,9 +61,10 @@ def _seeds_of(cell, seeds):
     return [(cell, seed) for seed in seeds]
 
 
-def test_replicate_passes_each_rep_its_derived_seed_in_rep_order():
+@pytest.mark.parametrize("block", [1, 7, 256, 1000])
+def test_replicate_passes_each_rep_its_derived_seed_in_rep_order(block):
     # 300 reps cross the edge of the first 256-rep block
-    results = replicate(_seeds_of, ["a", "b"], 300, 5)
+    results = replicate(_seeds_of, ["a", "b"], 300, 5, block=block)
     assert results == [
         [(cell, derive_seed(5, index, rep)) for rep in range(300)]
         for index, cell in enumerate(["a", "b"])
@@ -67,9 +76,10 @@ def test_replicate_rejects_fewer_than_one_worker():
         replicate(_seeds_of, ["a"], 3, 0, workers=0)
 
 
-def test_replicate_caps_the_pool_at_the_task_count(monkeypatch):
-    # a pool starts all of its workers at once, so a huge worker count must
-    # not reach it; this stand-in records the count and maps in-process
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The size of each pool asked for: every pool is a stand-in that
+    records its size and maps in this process."""
     sizes = []
 
     class InlinePool:
@@ -85,8 +95,14 @@ def test_replicate_caps_the_pool_at_the_task_count(monkeypatch):
             pass
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_replicate_caps_the_pool_at_the_task_count(inline_pool):
+    # a pool starts all of its workers at once, so a huge worker count must
+    # not reach it
     results = replicate(_seeds_of, ["a", "b"], 3, 5, workers=10**6)
-    assert sizes == [2]
+    assert inline_pool == [2]
     assert results == replicate(_seeds_of, ["a", "b"], 3, 5)
 
 
@@ -312,3 +328,159 @@ def test_qvrate_matches_plain_loop():
 def test_mse_matches_plain_loop():
     fixed = JumpRealization(times=np.array([0.25, 0.5]), sizes=np.array([3.0, -2.0]))
     assert mse_oracle(DIFF, fixed, 200, 1000, 9) == _mse_reference(fixed, 200, 1000, 9)
+
+
+# ---------------------------------------------------------------------------
+# The diagnostics' process pools
+# ---------------------------------------------------------------------------
+
+NO_JUMPS = JumpRealization(np.array([]), np.array([]))
+
+#: Each pooled diagnostic: its golden config, and a config long enough to
+#: pool two processes at the shipped work a process.
+_POOLED = {
+    "bvm": ({"n_grid": [200, 400], "reps": 100, "seed": 0},
+            {"n_grid": [1000, 4000], "reps": 100, "seed": 1}),
+    "mse": ({"n": 200, "reps": 1000, "seed": 0}, {"n": 5000, "reps": 1000, "seed": 1}),
+    "qvrate": ({"n_grid": [100, 300, 1000], "reps": 200, "seed": 0},
+               {"n_grid": [500, 2000, 8000], "reps": 200, "seed": 1}),
+}
+
+
+def _cpus(count):
+    return mock.patch.object(simulate, "_usable_cpus", lambda: count)
+
+
+def _a_process_a_unit():
+    """Every diagnostic's pool sized at one process for each unit of work."""
+    return mock.patch.multiple(diagnostics, _BVM_REPS_PER_WORKER=1,
+                               _MSE_INCREMENTS_PER_WORKER=1, _QV_INCREMENTS_PER_WORKER=1)
+
+
+def _diag(name, config, workdir):
+    """The exit code, CSV and stderr of ``jumpvol diag <name>`` on ``config``."""
+    (workdir / "diag.json").write_text(json.dumps(config))
+    out, err = workdir / "diag.csv", io.StringIO()
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["diag", name, "--config", str(workdir / "diag.json"), "--out", str(out)])
+    return code, out.read_text() if out.exists() else None, err.getvalue()
+
+
+@pytest.mark.parametrize("which", ["golden", "long"])
+@pytest.mark.parametrize("name", list(_POOLED))
+def test_a_pooled_diagnostic_writes_the_rows_of_one_process(name, which, tmp_path):
+    # the golden configs are pooled with a process for each unit of work, the
+    # long ones with the work a process as shipped
+    golden, long = _POOLED[name]
+    config, work = (golden, _a_process_a_unit()) if which == "golden" else (long, nullcontext())
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _cpus(2), work, mock.patch.object(simulate, "ProcessPoolExecutor", pool):
+        pooled = _diag(name, config, tmp_path)
+    assert pool.call_args == mock.call(max_workers=2)
+    assert pooled[0] == 0
+    with _cpus(1):
+        assert pooled == _diag(name, config, tmp_path)
+
+
+def test_a_daemon_process_runs_the_diagnostics_itself(tmp_path):
+    # a multiprocessing.Pool worker is a daemon, which may not start children
+    # ("daemonic processes are not allowed to have children")
+    with _cpus(2), _a_process_a_unit():
+        outer = multiprocessing.get_context("fork").Pool(1)
+        try:
+            texts = [outer.apply(_diag, (name, golden, tmp_path))
+                     for name, (golden, _) in _POOLED.items()]
+        finally:
+            outer.close()
+            outer.join()
+    with _cpus(1):
+        assert texts == [_diag(name, golden, tmp_path) for name, (golden, _) in _POOLED.items()]
+    assert all(code == 0 for code, _, _ in texts)
+
+
+def _refusing_block(refusals, log, task):
+    """``_run_block(task)``, logged to ``log`` as ``cell start stop``, but a
+    block that holds a ``(cell, rep)`` of ``refusals`` refuses it: at once if
+    its value is None, else that many seconds after the block is computed
+    and logged."""
+    _, _, cell, _, block = task
+    refused = [(rep, delay) for (index, rep), delay in refusals.items()
+               if index == cell and rep in block]
+    if refused and refused[0][1] is None:
+        raise ConfigurationError(f"cell {cell} rep {refused[0][0]} refused")
+    results = _run_block(task)
+    with open(log, "a") as handle:
+        handle.write(f"{cell} {block.start} {block.stop}\n")
+    if refused:
+        time.sleep(refused[0][1])
+        raise ConfigurationError(f"cell {cell} rep {refused[0][0]} refused")
+    return results
+
+
+@pytest.mark.parametrize("name", list(_POOLED))
+def test_a_refusal_in_a_later_block_is_the_serial_runs_after_the_blocks_before_it(
+    name, tmp_path
+):
+    # the refusal three quarters into the first cell comes a while after its
+    # block is computed; one in the fourth block, which two processes start
+    # in that while, comes at once, so a pool meets it first; yet the run
+    # raises the earlier one, as the serial run does, and only once every
+    # block before it is computed
+    golden, _ = _POOLED[name]
+    reps, cells = golden["reps"], len(golden.get("n_grid", [0]))
+    runs = []
+    for cpus in (2, 1):
+        refusals = {(0, reps * 3 // 4): 0.3 if cpus > 1 else 0.0,
+                    (min(1, cells - 1), reps - 1): None}
+        log = tmp_path / f"blocks-{cpus}"
+        log.touch()
+        with _cpus(cpus), _a_process_a_unit(), \
+                mock.patch.object(harness, "_run_block", partial(_refusing_block, refusals, log)):
+            runs.append(_diag(name, golden, tmp_path))
+        blocks = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        refused = [start for cell, start, stop in blocks
+                   if cell == 0 and start <= reps * 3 // 4 < stop]
+        assert len(refused) == 1
+        assert refused[0] > 0 or cpus == 1  # pooled, the refused block is not the first
+        computed = {rep for cell, start, stop in blocks if cell == 0 for rep in range(start, stop)}
+        assert computed >= set(range(refused[0]))
+    assert runs[0] == runs[1]
+    assert runs[0] == (
+        2, None, f"jumpvol: configuration error: cell 0 rep {reps * 3 // 4} refused\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "run, cpus, per_process, sizes",
+    [
+        # the small configs the suite runs, at the shipped work a process:
+        # no pool
+        (lambda: mse_oracle(DIFF, NO_JUMPS, 100, 1000, 0), 2, {}, []),
+        (lambda: qv_error_rate(DIFF, JUMPS, (20, 60, 200), 200, 0), 2, {}, []),
+        # a process for each 100 bvm replications, so its floor is pooled
+        (lambda: bvm_convergence_check(DIFF, JUMPS, (40, 80), 100, 0), 2, {}, [2]),
+        (lambda: bvm_convergence_check(DIFF, JUMPS, (40, 80), 149, 0), 3, {}, [2]),
+        (lambda: bvm_convergence_check(DIFF, JUMPS, (40, 80), 150, 0), 3, {}, [3]),
+        # mse's work is reps * n increments, qvrate's reps times the grid's sum
+        (lambda: mse_oracle(DIFF, NO_JUMPS, 100, 1000, 0), 2,
+         {"_MSE_INCREMENTS_PER_WORKER": 50_001}, []),
+        (lambda: mse_oracle(DIFF, NO_JUMPS, 100, 1000, 0), 2,
+         {"_MSE_INCREMENTS_PER_WORKER": 50_000}, [2]),
+        (lambda: qv_error_rate(DIFF, JUMPS, (20, 60, 200), 200, 0), 2,
+         {"_QV_INCREMENTS_PER_WORKER": 28_001}, []),
+        (lambda: qv_error_rate(DIFF, JUMPS, (20, 60, 200), 200, 0), 2,
+         {"_QV_INCREMENTS_PER_WORKER": 28_000}, [2]),
+    ],
+    ids=["mse-small", "qvrate-small", "bvm-floor", "bvm-149-on-3", "bvm-150-on-3",
+         "mse-below", "mse-at", "qvrate-below", "qvrate-at"],
+)
+def test_a_diagnostic_pools_a_process_for_each_unit_of_work_up_to_the_cpus(
+    run, cpus, per_process, sizes, inline_pool
+):
+    work = mock.patch.multiple(diagnostics, **per_process) if per_process else nullcontext()
+    with _cpus(cpus), work:
+        pooled = run()
+    assert inline_pool == sizes
+    with _cpus(1):
+        assert pooled == run()
