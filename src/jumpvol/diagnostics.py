@@ -2,8 +2,10 @@
 
 Provides a total variation distance by a fixed-node rule (16-point
 Gauss–Legendre panels between quantiles of both densities, checked against
-the same rule on halved panels to 1e-4), Monte Carlo checks that the
-(corrected and uncorrected) posteriors approach their normal limits, the
+the same rule on halved panels to 1e-4) and taken for a stack of pairs in
+one array pass, which writes its nodes, densities and intermediates into one
+workspace that ``diag bvm`` allocates once a block; Monte Carlo checks that
+the (corrected and uncorrected) posteriors approach their normal limits, the
 sandwich formula for the conditional variance of the jump-blind volatility
 estimator, a conditional Monte Carlo oracle for its mean squared error around
 the biased target it actually estimates, and the jump QV estimator's error rate.
@@ -86,6 +88,11 @@ _TV_PASS = 16
 
 #: Gauss–Legendre nodes and weights on [-1, 1], applied on every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+#: The most nodes a pair of a pass can have: those of its coarse panels, at
+#: most one fewer than its breakpoints (both ends and each density's ladder
+#: quantiles), and of their halves.
+_TV_NODES = 3 * (2 * _TV_LADDER.size + 1) * _GL_NODES.size
 
 #: Smallest sd, relative to its mean, of a normal limit handed to the TV
 #: quadrature: the float spacing at the mean is then at most sqrt(eps) of an
@@ -203,7 +210,8 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class _One:
     """Any one law with ``pdf`` and ``ppf``, as a stack of one pair.  A probe
-    of its tails, an array of shape ``(1, 1)``, calls ``pdf`` with a float."""
+    of its tails, an array of shape ``(1, 1)``, calls ``pdf`` with a float;
+    given ``out``, the law's densities are copied into it."""
 
     law: object
 
@@ -213,10 +221,13 @@ class _One:
     def ppf(self, q) -> np.ndarray:
         return np.asarray(self.law.ppf(q), dtype=float)[None]
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
+    def pdf(self, x: np.ndarray, out=None, scratch=None) -> np.ndarray:
         if x.shape == (1, 1):
             return np.array([[float(self.law.pdf(float(x[0, 0])))]])
-        return np.asarray(self.law.pdf(x[0]), dtype=float)[None]
+        density = np.asarray(self.law.pdf(x[0]), dtype=float)[None]
+        if out is not None:
+            out[...] = density
+        return density
 
 
 @dataclass(frozen=True)
@@ -242,8 +253,9 @@ class _Posteriors:
         quantiles = _invgamma_ppf(q, self.shape[new, None], self.rate[new, None])
         return quantiles[np.cumsum(new) - 1] - self.shift[:, None]
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return _invgamma_pdf(x + self.shift[:, None], self.shape[:, None], self.rate[:, None])
+    def pdf(self, x: np.ndarray, out=None, scratch=(None, None)) -> np.ndarray:
+        shifted = np.add(x, self.shift[:, None], out=scratch[0])
+        return _invgamma_pdf(shifted, self.shape[:, None], self.rate[:, None], out, scratch[1])
 
 
 @dataclass(frozen=True)
@@ -263,18 +275,23 @@ class _Normals:
     def ppf(self, q) -> np.ndarray:
         return _normal_ppf(q, self.mean[:, None], self.sd[:, None])
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return _normal_pdf(x, self.mean[:, None], self.sd[:, None])
+    def pdf(self, x: np.ndarray, out=None, scratch=(None, None)) -> np.ndarray:
+        return _normal_pdf(x, self.mean[:, None], self.sd[:, None], out, scratch[0])
 
 
-def _gauss_legendre(left: np.ndarray, right: np.ndarray):
+def _gauss_legendre(left: np.ndarray, right: np.ndarray, nodes=None, weights=None):
     """Nodes and weights of the Gauss–Legendre rule on every panel
     ``[left[..., k], right[..., k]]``, concatenated panel by panel along the
-    last axis."""
+    last axis; written into ``nodes`` and ``weights`` if given, contiguous
+    arrays of that shape."""
     half = 0.5 * (right - left)[..., None]
     mid = 0.5 * (left + right)[..., None]
-    shape = left.shape[:-1] + (-1,)
-    return (mid + half * _GL_NODES).reshape(shape), (half * _GL_WEIGHTS).reshape(shape)
+    if nodes is None:
+        nodes, weights = np.empty((2,) + left.shape[:-1] + (left.shape[-1] * _GL_NODES.size,))
+    panels = left.shape + _GL_NODES.shape
+    np.add(mid, np.multiply(half, _GL_NODES, out=nodes.reshape(panels)), out=nodes.reshape(panels))
+    np.multiply(half, _GL_WEIGHTS, out=weights.reshape(panels))
+    return nodes, weights
 
 
 def _peaks(laws, knots: np.ndarray) -> np.ndarray:
@@ -289,7 +306,16 @@ def _peaks(laws, knots: np.ndarray) -> np.ndarray:
     return peak
 
 
-def _tv_pass(a, b) -> list[float]:
+def _workspace(pairs: int, nodes: int = _TV_NODES) -> np.ndarray:
+    """Room for a pass of up to ``pairs`` pairs of up to ``nodes`` nodes each:
+    the nodes, the weights, two scratch rows, and both densities with
+    ``|f - g|``, seven rows of floats a pair.  A stack's ``pdf(x, out,
+    scratch)`` writes its densities at the nodes ``x`` into ``out`` and may
+    overwrite the two ``scratch`` rows."""
+    return np.empty(7 * pairs * nodes)
+
+
+def _tv_pass(a, b, workspace=None) -> list[float]:
     """:func:`tv_distance` of each pair ``(a[k], b[k])`` of two stacks of laws,
     as one array pass; the first pair, in order, that fails raises its error.
 
@@ -299,20 +325,25 @@ def _tv_pass(a, b) -> list[float]:
     that, the padding being panels of zero width at its ``hi``; each density
     is evaluated once on it.  Each pair's sums take its own nodes only, in the
     one-pair call's order, so each pair's value is that call's bit for bit.
+
+    The node arrays and the densities' intermediates are written into
+    ``workspace``, a :func:`_workspace` for at least ``len(a)`` pairs, which
+    a caller taking many passes allocates once; without one the pass
+    allocates its own.
     """
     try:
-        return _tv_stack(a, b)
+        return _tv_stack(a, b, workspace)
     except Exception:
         if len(a) == 1:
             raise
         # the pass stopped at its first failure found; the first pair to fail
         # alone is the one whose error the pairs taken in order raise
         for k in range(len(a)):
-            _tv_stack(a.take(slice(k, k + 1)), b.take(slice(k, k + 1)))
+            _tv_stack(a.take(slice(k, k + 1)), b.take(slice(k, k + 1)), workspace)
         raise
 
 
-def _tv_stack(a, b) -> list[float]:
+def _tv_stack(a, b, workspace) -> list[float]:
     knots_a = a.ppf(_TV_LADDER)
     peak_a = _peaks(a, knots_a)[:, None]
     knots_b = b.ppf(_TV_LADDER)
@@ -346,30 +377,45 @@ def _tv_stack(a, b) -> list[float]:
     halves = np.empty((len(a), 2 * width + 1))
     halves[:, ::2] = edges
     halves[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    # a row's coarse panels padded to width, then its halves padded to 2 width
-    left = np.concatenate((edges[:, :-1], halves[:, :-1]), axis=1)
-    x, w = _gauss_legendre(left, np.concatenate((edges[:, 1:], halves[:, 1:]), axis=1))
-    f, g = a.pdf(x), b.pdf(x)
-    d = np.abs(f - g)
 
-    tvs = []
+    # a row's coarse panels padded to width, then its halves padded to 2 width,
+    # in views of the workspace: x, w, two scratch rows, f, g and |f - g|, each
+    # a (pairs, nodes) array, the last three one (3, pairs, nodes) block
     nodes = _GL_NODES.size
-    for k, count in enumerate(panels.tolist()):
-        coarse, fine = (
-            np.stack([f[k, own], g[k, own], d[k, own]]) @ w[k, own]
-            for own in (slice(0, nodes * count), slice(nodes * width, nodes * (width + 2 * count)))
-        )
-        error = float(np.max(np.abs(coarse - fine)))
-        if error > _TV_ACCURACY:
-            raise NumericError(f"quadrature error {error:.2e} exceeds {_TV_ACCURACY:.0e}")
+    row = 3 * width * nodes
+    if workspace is None:
+        workspace = _workspace(len(a), row)
+    size = len(a) * row
+    x, w, *scratch = (workspace[i * size:(i + 1) * size].reshape(len(a), row) for i in range(4))
+    values = workspace[4 * size:7 * size].reshape(3, len(a), row)
+    f, g, d = values
+    left = np.concatenate((edges[:, :-1], halves[:, :-1]), axis=1)
+    _gauss_legendre(left, np.concatenate((edges[:, 1:], halves[:, 1:]), axis=1), x, w)
+    a.pdf(x, f, scratch)
+    b.pdf(x, g, scratch)
+    np.abs(np.subtract(f, g, out=d), out=d)
 
-        mass_a, mass_b, l1 = (float(v) for v in fine)
+    # each pair's mass of f and of g and its integral of |f - g|, on the coarse
+    # panels and on the halves
+    sums = np.empty((len(a), 2, 3))
+    for k, count in enumerate(panels.tolist()):
+        for rule, own in enumerate((slice(0, nodes * count),
+                                    slice(nodes * width, nodes * (width + 2 * count)))):
+            np.matmul(values[:, k, own], w[k, own], out=sums[k, rule])
+    coarse, fine = sums[:, 0], sums[:, 1]
+    error = np.max(np.abs(coarse - fine), axis=1)
+    failing = np.flatnonzero(
+        (error > _TV_ACCURACY) | np.any(np.abs(fine[:, :2] - 1.0) > 1e-6, axis=1)
+    )
+    if failing.size:  # the first failing pair raises its first failing check
+        k = int(failing[0])
+        if error[k] > _TV_ACCURACY:
+            raise NumericError(f"quadrature error {float(error[k]):.2e} exceeds {_TV_ACCURACY:.0e}")
+        mass_a, mass_b = fine[k, :2].tolist()
         if abs(mass_a - 1.0) > 1e-6:
             raise ValueError(f"first density integrates to {mass_a}, not 1")
-        if abs(mass_b - 1.0) > 1e-6:
-            raise ValueError(f"second density integrates to {mass_b}, not 1")
-        tvs.append(min(max(0.5 * l1, 0.0), 1.0))
-    return tvs
+        raise ValueError(f"second density integrates to {mass_b}, not 1")
+    return [min(max(0.5 * l1, 0.0), 1.0) for l1 in fine[:, 2].tolist()]
 
 
 def tv_distance(density_a, density_b) -> float:
@@ -428,9 +474,10 @@ def _bvm_distances(diff, jumps, prior, rule, n, seeds) -> list[tuple[float, floa
     """TV distances of the tempered and shifted posteriors to their limits,
     one pair per seed.  The paths are simulated and inferred in the row
     chunks of the coverage experiment, and each chunk's TVs are taken in
-    passes of :data:`_TV_PASS` pairs.  A row whose limits cannot be formed
-    raises after the TVs of the rows before it."""
+    passes of :data:`_TV_PASS` pairs, all in one workspace.  A row whose
+    limits cannot be formed raises after the TVs of the rows before it."""
     distances = []
+    workspace = _workspace(_TV_PASS)
     for mu, rows in _inferred_chunks(diff, jumps, n, seeds, rule, prior):
         limits, refusal = [], None
         for i, window_sums in enumerate(mu):
@@ -467,7 +514,7 @@ def _bvm_distances(diff, jumps, prior, rule, n, seeds) -> list[tuple[float, floa
         tvs = []
         for start in range(0, len(limits), _TV_PASS):
             part = slice(start, start + _TV_PASS)
-            tvs += _tv_pass(posteriors.take(part), normals.take(part))
+            tvs += _tv_pass(posteriors.take(part), normals.take(part), workspace)
         distances += zip(tvs[::2], tvs[1::2])
         if refusal is not None:
             raise refusal

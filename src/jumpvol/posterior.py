@@ -96,7 +96,18 @@ def _log_scale(shape):
     return 0.5 * math.log(shape / (2.0 * math.pi)) - _stirlerr(shape)
 
 
-def _invgamma_pdf(x, shape, rate):
+def _outputs(out, work) -> tuple[dict, dict]:
+    """The ``out`` keywords of a density kernel's two chains of steps, which
+    start in ``out`` and in ``work`` when these are given; each later step is
+    in place, which a numpy scalar takes as its own fast arithmetic.  No
+    keyword at all is passed without them: a ufunc given none, not even
+    ``out=None``, takes numpy's fast path on a scalar."""
+    if out is None:
+        return {}, {}
+    return {"out": out}, {"out": work}
+
+
+def _invgamma_pdf(x, shape, rate, out=None, work=None):
     """Inverse-gamma density in the saddle-point form of Loader (2000), "Fast
     and accurate computation of binomial probabilities": with ``r = rate /
     (shape x)``,
@@ -110,17 +121,31 @@ def _invgamma_pdf(x, shape, rate):
     tail, where ``r`` is tiny.  ``shape`` and ``rate`` are floats, or arrays
     that broadcast against ``x`` with one law per element; each element is
     then what the floats give.
+
+    Given ``out`` and ``work``, two arrays of the broadcast shape apart from
+    ``x``, the density is written into ``out``, ``work`` is overwritten, and
+    no array of that shape is allocated; the values are the same bits.
     """
     # a float becomes a numpy scalar, whose arithmetic costs less than a 0-d array's
     x = np.asarray(x, dtype=float)[()]
     log_scale = _log_scale(shape)
+    into, scratch = _outputs(out, work)
     # evaluated everywhere, and replaced by 0 where x <= 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # capped so that an overflowing ratio gives a zero density, not inf - inf
-        r = np.minimum((rate / shape) / x, _FLOAT_MAX)
-        density = np.exp(shape * (np.log(r) - (r - 1.0)) + log_scale) / x
-    out = np.where(x > 0, density, 0.0)
-    return out if out.ndim else float(out)
+        r = np.minimum(np.divide(rate / shape, x, **scratch), _FLOAT_MAX, **scratch)
+        density = np.log(r, **into)
+        r -= 1.0
+        density -= r
+        density *= shape
+        density += log_scale
+        density = np.exp(density, **into)
+        density /= x
+    if out is None:
+        out = np.where(x > 0, density, 0.0)
+        return out if out.ndim else float(out)
+    np.copyto(out, 0.0, where=~(x > 0))
+    return out
 
 
 def _invgamma_cdf(x, shape: float, rate: float):
@@ -298,13 +323,20 @@ class NormalApprox:
         return out if out.ndim else float(out)
 
 
-def _normal_pdf(x, mean, sd):
+def _normal_pdf(x, mean, sd, out=None, work=None):
     """The ``N(mean, sd^2)`` density at ``x``; ``mean`` and ``sd`` are floats,
-    or arrays that broadcast against ``x`` with one law per element."""
-    z = (np.asarray(x, dtype=float) - mean) / sd
+    or arrays of one shape that broadcast against ``x`` with one law per
+    element.  Given ``out`` and ``work`` as in :func:`_invgamma_pdf`, the
+    density is written into ``out`` and ``work`` is overwritten."""
+    into, scratch = _outputs(out, work)
+    z = np.subtract(np.asarray(x, dtype=float), mean, **scratch)
+    z /= sd
     with np.errstate(over="ignore"):  # a square past the float range gives exp(-inf) = 0
-        out = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-    return out if out.ndim else float(out)
+        density = np.multiply(-0.5, z, **into)
+        density *= z
+        density = np.exp(density, **into)
+        density /= sd * math.sqrt(2.0 * math.pi)
+    return density if density.ndim else float(density)
 
 
 def _normal_ppf(q, mean, sd):

@@ -151,9 +151,13 @@ def _streams(seeds, keys) -> list[tuple[np.random.Generator, ...]]:
     """For each non-negative integer seed of a block, the generator
     ``default_rng`` makes of its ``SeedSequence`` spawned at each key of
     ``keys``: the keys ``[[0], [1]]`` give the children of ``spawn(2)``, and
-    ``[[]]`` the root stream of ``default_rng(seed)``.  The seeds share one
-    word count and get their states from one kernel call over uint64 word
-    arrays; a single seed is cheaper through numpy's own ``SeedSequence``."""
+    ``[[]]`` the root stream of ``default_rng(seed)``.  The seeds of a block
+    share one word count and get their states from one kernel call over
+    uint64 word arrays; a single seed, which that call costs about ten times
+    as much as numpy, goes through numpy's own ``SeedSequence``."""
+    if len(seeds) == 1:
+        return [tuple(np.random.default_rng(np.random.SeedSequence(seeds[0], spawn_key=key))
+                      for key in keys)]
     entropy = np.array([_spawned_entropy(seed, ()) for seed in seeds], dtype=np.uint64)
     streams = []
     for w in _seed_states(list(entropy.T), keys, 8):
@@ -688,7 +692,7 @@ def _read_increments(handle, path) -> IncrementData:
     start, first = _next_row(handle)
     if not first:
         raise ConfigurationError("empty increments file")
-    header = [cell.strip() for cell in next(csv.reader([first]))]
+    header = [cell.strip() for cell in _cells(first)]
     try:
         float(header[0])
         names = ["D_i"]
@@ -859,6 +863,18 @@ def _parses(lines: list[str], width: int, usecols=None) -> bool:
         return False
 
 
+def _cells(line: str) -> list[str]:
+    """The CSV cells of one line.  A CR before its end is refused, named: a
+    text stream that splits lines at "\\n" only hands lone-CR rows over as
+    one line."""
+    if "\r" in line.rstrip("\r\n"):
+        raise ConfigurationError(
+            "increments file has lone-CR line ends, which this text stream does not "
+            "split into lines; open it with newline='' or newline=None"
+        )
+    return next(csv.reader([line]))
+
+
 def _bad_row_error(lines: list[str], names: list[str]) -> ConfigurationError:
     """The error naming the first data row in ``lines`` that is not
     ``len(names)`` numbers.  Blocks of rows are parsed first, so only the
@@ -873,7 +889,7 @@ def _bad_row_error(lines: list[str], names: list[str]) -> ConfigurationError:
             if _parses([line], width):
                 continue
             where = f"increments file row {first + offset + 1}"
-            cells = next(csv.reader([line]))
+            cells = _cells(line)
             if len(cells) != width:
                 return ConfigurationError(
                     f"{where} has {len(cells)} cells, expected {width} ({','.join(names)})"

@@ -433,6 +433,19 @@ def test_infer_reads_cr_line_ends_on_stdin_as_from_a_path(tmp_path, stdin):
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
 
 
+@pytest.mark.parametrize("text", [
+    "index,t_i,D_i\r1,0.5,0.1\r2,1.0,-0.2\r",
+    "0.1\r-0.2\r",
+    "index,t_i,D_i\r\n1,0.5,0.1\r2,1.0,-0.2\r\n",
+])
+def test_a_stream_that_leaves_lone_cr_line_ends_unsplit_is_refused_named(text):
+    # such a stream hands every row over as one line, whose header scan
+    # raised a bare _csv.Error; with newline="" the same text is read
+    with pytest.raises(ConfigurationError, match="^increments file has lone-CR line ends"):
+        read_increments_csv(io.StringIO(text, newline="\n"))
+    assert not isinstance(_read(io.StringIO(text, newline="")), str)
+
+
 def test_a_file_that_shrinks_after_its_header_is_read_whole(tmp_path):
     # a file cut short (or one whose end seek reports less than was read)
     # has no byte ranges, and its body is read through the open file

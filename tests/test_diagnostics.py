@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from jumpvol import (
     tempered_update,
     tv_distance,
 )
-from jumpvol import diagnostics
+from jumpvol import diagnostics, simulate
 from jumpvol.diagnostics import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -515,6 +517,58 @@ def test_bvm_rows_do_not_depend_on_the_pass_size(monkeypatch, jumps, n_grid, see
         rows[size] = bvm_convergence_check(DIFF, jumps, n_grid, reps=100, seed=seed)
     (one, default) = rows.values()
     assert repr(one) == repr(default)
+
+
+def _bvm_pass(pairs: int, n: int = 1000):
+    """A pass of ``diag bvm`` pairs at ``n``: each replication's tempered
+    posterior with its limit, then its shifted one with its limit."""
+    laws, limits = [], []
+    for rep in range(pairs // 2):
+        path = simulate_path(DIFF, JUMPS, n, seed=derive_seed(1, 0, rep))
+        truth = TruthSummary.from_path(DIFF, path)
+        inf = infer_increments(path.increments, path.horizon, ThresholdRule.iqr(), PRIOR)
+        laws += [inf.posterior, inf.modified]
+        limits += [
+            NormalApprox(inf.theta_hat, 2.0 * truth.kappa_dagger * truth.theta_dagger**2 / n),
+            NormalApprox(inf.theta_hat - inf.modified.shift, 2.0 * truth.theta_star**2 / n),
+        ]
+    return (
+        _Posteriors(*(np.array(v) for v in zip(*((l.ig.shape, l.ig.rate, l.shift) for l in laws)))),
+        _Normals(np.array([l.mean for l in limits]), np.array([l.sd for l in limits])),
+    )
+
+
+def test_a_second_pass_in_one_workspace_allocates_no_pass_sized_array():
+    posteriors, limits = _bvm_pass(diagnostics._TV_PASS)
+    workspace = diagnostics._workspace(len(posteriors))
+    first = _tv_pass(posteriors, limits, workspace)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        second = _tv_pass(posteriors, limits, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first == _tv_pass(posteriors, limits)
+    # without a workspace the pass allocates about ten arrays of this size
+    assert peak - before < len(posteriors) * diagnostics._TV_NODES * 8
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_a_warm_serial_bvm_check_takes_few_page_faults(monkeypatch):
+    # pass-sized arrays freed after every pass went back to the system, and
+    # the next pass faulted their pages in again: about 9.7k minor faults a call
+    import resource
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+
+    def faults_of_a_call() -> int:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        bvm_convergence_check(DIFF, JUMPS, (1000, 4000), reps=100, seed=1)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults_of_a_call()
+    assert faults_of_a_call() < 2000
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,16 @@ def test_streams_of_a_seed_list_are_each_seeds_children():
         assert _states(pair) == _states(_seed_sequence_children(seed))
 
 
+@pytest.mark.parametrize("keys", [_CHILD_KEYS, [[]]])
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5, derive_seed(1, 0, 0)])
+def test_a_one_seed_block_gets_the_streams_the_kernel_derives(seed, keys):
+    # one seed goes through numpy's SeedSequence, a block of seeds through
+    # the package's copy of its mix
+    (alone,) = _streams([seed], keys)
+    block = _streams([seed, seed], keys)
+    assert [_states(alone)] * 2 == [_states(streams) for streams in block]
+
+
 def test_negative_seed_fails_as_seed_sequence_does():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         simulate_path(DIFF, JUMPS, n=100, seed=-1)
