@@ -364,8 +364,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _configure(args)
-    if cfg.input != "-" and not Path(cfg.input).is_file():
-        raise ConfigurationError(f"input file not found: {cfg.input}")
+    if cfg.input != "-":  # a named pipe or a process substitution is read as a file
+        if not Path(cfg.input).exists():
+            raise ConfigurationError(f"input file not found: {cfg.input}")
+        if Path(cfg.input).is_dir():
+            raise ConfigurationError(f"input path is a directory: {cfg.input}")
     out = _check_out(cfg.out)
     density_grid = cfg.density_grid
     if density_grid is not None:

@@ -593,8 +593,6 @@ _READ_BLOCK_BYTES = 2 << 20
 _READ_BYTES_PER_WORKER = 45 * 49152
 #: A ``t_i`` column must lie on ``i * t_n / n`` within this fraction of a step.
 _GRID_RTOL = 1e-6
-#: Rows per ``np.loadtxt`` call while the error path looks for the bad row.
-_RESCAN_BLOCK_ROWS = 4096
 
 
 def _opened(file, mode: str):
@@ -722,17 +720,11 @@ def _read_increments(handle, path) -> IncrementData:
             with _ordered_map(_parse_block, tasks, workers) as blocks:
                 chained = _chain(blocks, names)
     if chained is None:
-        # a stream, or a block that holds a quote (a quoted cell may span a
-        # line end) or does not parse: the whole body is read as one block
+        # a stream, lone-CR line ends, a file that shrank, or a block that
+        # holds a quote (a quoted cell may span a line end) or bytes that are
+        # not UTF-8: the whole body is read as one block
         handle.seek(body)
-        try:
-            table = _load(handle)
-        except ValueError:
-            table = None
-        if table is None or table.shape[1] != len(names):
-            handle.seek(body)
-            raise _bad_row_error(handle.readlines(), names)
-        chained = _chain([_block_columns(table, names)], names)
+        chained = _chain([_parse(handle, names)], names)
     columns, index_fault = chained
     times = columns.get("t_i")
     faults = [fault for fault in (index_fault, _grid_fault(times)) if fault]
@@ -762,10 +754,9 @@ def _byte_ranges(path, body: int) -> list[tuple[int, int]]:
 
 
 def _parse_block(task):
-    """:func:`_block_columns` of the bytes ``lo`` to ``hi`` of a file, read as
-    the file is opened (UTF-8, universal newlines), or None if they hold a
-    quote or are not rows of ``len(names)`` numbers.  ``task`` is ``(names,
-    path, lo, hi)``."""
+    """:func:`_parse` of the bytes ``lo`` to ``hi`` of a file, read as the
+    file is opened (UTF-8, universal newlines), or None if they hold a quote
+    or are not UTF-8.  ``task`` is ``(names, path, lo, hi)``."""
     names, path, lo, hi = task
     with open(path, "rb") as raw:
         raw.seek(lo)
@@ -775,10 +766,27 @@ def _parse_block(task):
     if not data.strip(b"\r\n"):  # only empty lines, where loadtxt would warn
         return _block_columns(np.empty((0, len(names))), names)
     try:
-        table = _load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None))
-    except ValueError:  # UnicodeDecodeError included
+        return _parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None), names)
+    except UnicodeDecodeError:
         return None
-    return _block_columns(table, names) if table.shape[1] == len(names) else None
+
+
+def _parse(source, names: list) -> tuple:
+    """The rows of a seekable text ``source``, from where it stands: the
+    :func:`_block_columns` of its table, or ``(None, (row, line))`` for the
+    first line that is not ``len(names)`` numbers, with ``row`` its 0-based
+    place among the non-empty lines.  The one parse of the read."""
+    start = source.tell()
+    table = _load(source, len(names))  # bytes that are not UTF-8 raise below
+    if table is not None:
+        return _block_columns(table, names)
+    source.seek(start)
+    rows = [line for line in source.readlines() if line.rstrip("\r\n")]
+    lo, hi = 0, len(rows)  # the rows before lo parse; the first bad one is before hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _load(rows[lo:mid], len(names)) is None else (mid, hi)
+    return None, (lo, rows[lo])
 
 
 def _block_columns(table: np.ndarray, names: list) -> tuple[dict, tuple]:
@@ -799,13 +807,21 @@ def _block_columns(table: np.ndarray, names: list) -> tuple[dict, tuple]:
 def _chain(blocks, names: list) -> tuple[dict, tuple | None] | None:
     """The parsed blocks chained in order: each kept column joined, and the
     first row whose index is not its row number, as ``(row, reason)`` with a
-    0-based row; None at the first block that did not parse."""
+    0-based row; None at the first block that must be read whole.  A block's
+    bad row is raised, named at its row in the file, once no later block
+    must be read whole, so neither the block size nor the CPU count can
+    change which fault is named."""
     parts = {name: [] for name in names if name != "index"}
     fault, n = None, 0
     for block in blocks:
         if block is None:
             return None
-        columns, (first, gap) = block
+        columns, run = block
+        if columns is None:
+            if any(later is None for later in blocks):
+                return None
+            raise _bad_row_error(n + run[0], run[1], names)
+        first, gap = run
         rows = len(columns["D_i"])
         if not rows:
             continue
@@ -849,18 +865,16 @@ def _next_row(handle) -> tuple[int, str]:
             return pos, line
 
 
-def _load(source, usecols=None) -> np.ndarray:
-    """Parse CSV rows of numbers: one rule for the read and its rescan."""
-    return np.loadtxt(
-        source, delimiter=",", ndmin=2, comments=None, quotechar='"', usecols=usecols
-    )
-
-
-def _parses(lines: list[str], width: int, usecols=None) -> bool:
+def _load(source, width: int, usecols=None) -> np.ndarray | None:
+    """CSV rows of numbers as a table, or None unless they are rows of
+    ``width`` numbers: one rule for the read and its search for a bad row."""
     try:
-        return _load(lines, usecols).shape[1] == width
-    except ValueError:
-        return False
+        table = np.loadtxt(
+            source, delimiter=",", ndmin=2, comments=None, quotechar='"', usecols=usecols
+        )
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return table if table.shape[1] == width else None
 
 
 def _cells(line: str) -> list[str]:
@@ -875,26 +889,17 @@ def _cells(line: str) -> list[str]:
     return next(csv.reader([line]))
 
 
-def _bad_row_error(lines: list[str], names: list[str]) -> ConfigurationError:
-    """The error naming the first data row in ``lines`` that is not
-    ``len(names)`` numbers.  Blocks of rows are parsed first, so only the
-    block that fails is parsed row by row."""
-    rows = [line for line in lines if line.rstrip("\r\n")]
-    width = len(names)
-    for first in range(0, len(rows), _RESCAN_BLOCK_ROWS):
-        block = rows[first:first + _RESCAN_BLOCK_ROWS]
-        if _parses(block, width):
-            continue
-        for offset, line in enumerate(block):
-            if _parses([line], width):
-                continue
-            where = f"increments file row {first + offset + 1}"
-            cells = _cells(line)
-            if len(cells) != width:
-                return ConfigurationError(
-                    f"{where} has {len(cells)} cells, expected {width} ({','.join(names)})"
-                )
-            bad = (f"{name} is not a number: {cell!r}" for j, (name, cell)
-                   in enumerate(zip(names, cells)) if not _parses([line], 1, usecols=j))
-            return ConfigurationError(f"{where}: {next(bad, f'cannot parse {line!r}')}")
-    return ConfigurationError("increments file does not parse as rows of numbers")
+def _bad_row_error(row: int, line: str, names: list[str]) -> ConfigurationError:
+    """The error that ``line``, 0-based data row ``row``, is not ``len(names)``
+    numbers; if it parses alone, a quote opened before it ran on into it."""
+    if _load([line], len(names)) is not None:
+        return ConfigurationError("increments file does not parse as rows of numbers")
+    where = f"increments file row {row + 1}"
+    cells = _cells(line)
+    if len(cells) != len(names):
+        return ConfigurationError(
+            f"{where} has {len(cells)} cells, expected {len(names)} ({','.join(names)})"
+        )
+    bad = (f"{name} is not a number: {cell!r}" for j, (name, cell)
+           in enumerate(zip(names, cells)) if _load([line], 1, usecols=j) is None)
+    return ConfigurationError(f"{where}: {next(bad, f'cannot parse {line!r}')}")

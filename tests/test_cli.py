@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -809,6 +810,27 @@ def test_infer_missing_input_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["infer", "--input", str(tmp_path / "nope.csv")], capsys)
     assert code == 2
     assert "not found" in err
+
+
+def test_infer_directory_input_exits_2_named(tmp_path, capsys):
+    code, out, err = run_cli(["infer", "--input", str(tmp_path), "--out", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"jumpvol: configuration error: input path is a directory: {tmp_path}\n"
+
+
+def test_infer_reads_a_named_pipe_as_the_plain_file(tmp_path, capsys):
+    # a FIFO, like bash's <(...), is no regular file but reads as one
+    csv_path = tmp_path / "path.csv"
+    assert run_cli(["simulate", "--n", "500", "--seed", "3", "--out", str(csv_path)], capsys)[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(csv_path.read_bytes(),), daemon=True)
+    writer.start()
+    piped = run_cli(["infer", "--input", str(fifo), "--out", "-"], capsys)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert piped == run_cli(["infer", "--input", str(csv_path), "--out", "-"], capsys)
+    assert piped[0] == 0
 
 
 def test_infer_density_grid(tmp_path, capsys):

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -110,7 +111,7 @@ def test_headerless_ragged_row_is_named():
         read_increments_csv(io.StringIO("0.25\n-0.5\n1.5,2\n"))
 
 
-def test_bad_row_past_the_first_rescan_block_is_named():
+def test_a_bad_row_deep_in_a_stream_is_named():
     lines = increments_csv_text(simulate_path(DIFF, JUMPS, n=5000, seed=2)).splitlines()
     lines[4500] = lines[4500] + ",9"
     with pytest.raises(ConfigurationError, match="row 4500 has 4 cells"):
@@ -478,6 +479,72 @@ def test_a_reader_process_that_dies_exits_3_named(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "jumpvol: worker process died: A process in the process pool was terminated abruptly"
     )
+
+
+def _faulty_file(tmp_path, faults) -> Path:
+    """``simulate``'s 2000 rows with ``faults``, a map from a 1-based row to
+    a function of its cells giving the row's bytes."""
+    source = tmp_path / "increments.csv"
+    write_increments_csv(source, simulate_path(DIFF, JUMPS, 2000, 4))
+    lines = source.read_bytes().split(b"\n")
+    for row, fault in faults.items():
+        lines[row] = fault(lines[row].split(b","))
+    source.write_bytes(b"\n".join(lines))
+    return source
+
+
+def _token(cells):
+    return b",".join(cells[:2] + [b"abc"])
+
+
+_DOUBLE_FAULTS = {
+    # a block that must be read whole outranks a bad row before it
+    "bad token, then not UTF-8": (
+        {50: _token, 1500: lambda cells: b",".join(cells[:2] + [b"\xff" + cells[2]])},
+        "increments file cannot be decoded as text"),
+    "bad token, then a quoted cell": (
+        {50: _token, 1500: lambda cells: b",".join(cells[:2] + [b'"' + cells[2] + b'"'])},
+        "increments file row 50: D_i is not a number: 'abc'"),
+    # a bad row outranks an index fault before it
+    "index gap, then bad token": (
+        {50: lambda cells: b",".join([b"51"] + cells[1:]), 1500: _token},
+        "increments file row 1500: D_i is not a number: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DOUBLE_FAULTS))
+def test_two_faults_answer_as_one_process(tmp_path, case):
+    faults, message = _DOUBLE_FAULTS[case]
+    source = _faulty_file(tmp_path, faults)
+    args = ["infer", "--input", str(source), "--out", "-"]
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _reader_processes(2, 4096), mock.patch.object(simulate, "ProcessPoolExecutor", pool):
+        pooled = _infer(args)
+    assert pool.call_args == mock.call(max_workers=2)
+    assert pooled[:2] == (2, "")
+    assert pooled[2].startswith(f"jumpvol: configuration error: {message}")
+    with mock.patch.object(simulate, "_usable_cpus", lambda: 1):
+        assert _infer(args) == pooled
+
+
+def test_a_bad_row_in_the_last_block_is_found_by_its_worker(tmp_path):
+    # the worker that parses the last block names the row in its own text;
+    # this process parses no more than that one line
+    source = _faulty_file(tmp_path, {2000: _token})
+    parent, handed, load = os.getpid(), [], simulate._load
+
+    def recorded(source, *args, **kwargs):
+        if os.getpid() == parent:
+            handed.append(source)
+        return load(source, *args, **kwargs)
+
+    pool = mock.Mock(wraps=ProcessPoolExecutor)
+    with _reader_processes(2, 4096), mock.patch.object(simulate, "ProcessPoolExecutor", pool), \
+            mock.patch.object(simulate, "_load", recorded):
+        pooled = _read(source)
+    assert pool.call_args == mock.call(max_workers=2)
+    assert pooled == "increments file row 2000: D_i is not a number: 'abc'"
+    assert all(isinstance(lines, list) and len(lines) == 1 for lines in handed)
 
 
 # ---------------------------------------------------------------------------
